@@ -195,9 +195,6 @@ class CSpaceBitmap:
     def free_count(self) -> int:
         return int(np.bitwise_count(self.bits).sum())
 
-    def obstacle_count(self) -> int:
-        return self.spec.size - self.free_count()
-
     def to_dense(self) -> np.ndarray:
         flat = np.unpackbits(self.bits, count=self.spec.size, bitorder="little")
         return flat.reshape(self.spec.dims, order="F")
@@ -232,21 +229,27 @@ class CSpaceBitmap:
 
     @classmethod
     def load(cls, path) -> "CSpaceBitmap":
+        """Read a dump; a truncated or forged file raises before allocating."""
         with open(path, "rb") as f:
             raw = f.read()
-        n = int(np.frombuffer(raw[:8], dtype="<u8")[0])
-        off = 8
-        dims = np.frombuffer(raw[off:off + 8 * n], dtype="<u8").astype(int)
-        off += 8 * n
-        wrap = np.frombuffer(raw[off:off + 8 * n], dtype="<u8").astype(bool)
-        off += 8 * n
-        lo = np.frombuffer(raw[off:off + 8 * n], dtype="<f8")
-        off += 8 * n
-        hi = np.frombuffer(raw[off:off + 8 * n], dtype="<f8")
-        off += 8 * n
-        spec = GridSpec(tuple(dims), tuple(wrap), tuple(lo), tuple(hi))
-        bits = np.frombuffer(raw[off:], dtype=np.uint8).copy()
-        return cls(spec, bits)
+        n = int.from_bytes(raw[:8], "little")
+        head = 8 + 32 * n
+        if len(raw) < 8 or n < 1 or head > len(raw):
+            raise IncompatibleGrids(
+                f"bitmap dump of {len(raw)} bytes cannot hold a header for {n} axes"
+            )
+        words = np.frombuffer(raw, dtype="<u8", count=2 * n, offset=8)
+        bounds = np.frombuffer(raw, dtype="<f8", count=2 * n, offset=8 + 16 * n)
+        spec = GridSpec(
+            tuple(int(d) for d in words[:n]), tuple(words[n:] != 0),
+            tuple(bounds[:n]), tuple(bounds[n:]),
+        )
+        nbytes = (spec.size + 7) // 8
+        if len(raw) - head != nbytes:
+            raise IncompatibleGrids(
+                f"bitmap dump payload has {len(raw) - head} bytes, grid {spec.dims} needs {nbytes}"
+            )
+        return cls(spec, np.frombuffer(raw, dtype=np.uint8, offset=head).copy())
 
     def to_pgm(self, path):
         """Export a 2D bitmap as a binary PGM image (free=white)."""

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from noplan.bitmap import CSpaceBitmap
+from noplan.bitmap import CSpaceBitmap, GridSpec
 from noplan.cli import EXIT_ERROR, EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_TIMEOUT, main
 
 from support import SCENARIO_DIR
@@ -143,6 +143,25 @@ class TestRender:
         code, out = run(capsys, "render", FIVE_LINK)
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "UnsupportedDimension"
+
+    @pytest.mark.parametrize("forge", [
+        pytest.param(lambda raw: b"", id="empty"),
+        pytest.param(lambda raw: raw[:20], id="20-bytes"),
+        pytest.param(lambda raw: (1 << 40).to_bytes(8, "little") + raw[8:], id="ndim-2^40"),
+        pytest.param(lambda raw: raw[:-1], id="truncated-payload"),
+        pytest.param(
+            lambda raw: raw[:8] + np.array([10**9, 10**9], "<u8").tobytes() + raw[24:],
+            id="dims-1e9x1e9",
+        ),
+    ])
+    def test_hostile_dump_fails_with_json_error(self, capsys, tmp_path, forge):
+        good = tmp_path / "good.bin"
+        CSpaceBitmap(GridSpec((9, 6), (True, False), (0.0, 0.0), (1.0, 1.0))).dump(good)
+        path = tmp_path / "hostile.bin"
+        path.write_bytes(forge(good.read_bytes()))
+        code, out = run(capsys, "render", str(path), "--out", str(tmp_path / "r"))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "IncompatibleGrids"
 
 
 class TestEntryPoint:

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,8 +37,9 @@ class TestBasicLabeling:
         assert lf.component_count == 2
 
     def test_labels_canonical_by_first_appearance(self):
-        # flat raster meets the right half of a split grid only after the
-        # whole left half, regardless of scipy's internal numbering
+        # ids follow first appearance along the linear raster (axis 0
+        # fastest): (0, 0) is met before (5, 0). segment takes this order
+        # from scipy numbering the reversed-axis view in raster order.
         dense = np.ones((9, 7))
         dense[4, :] = 0
         lf = segment(bitmap_from(dense))
@@ -174,3 +177,12 @@ class TestSegmentCheck:
             segment_check(lf, blocked, free)
         with pytest.raises(StartOrGoalInObstacle):
             segment_check(lf, free, blocked)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse costs about 11 MB of peak RSS and 0.08 s of setup per run
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, noplan; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
