@@ -9,13 +9,14 @@ bitmap is exact and the verdict is final either way.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bitmap import CSpaceBitmap, cell_to_config, config_to_cell, multi_to_lin
-from .errors import EngineTimeout, Exhausted, ValidationError
+from .errors import EngineTimeout, Exhausted, TooLarge, ValidationError
 from .sampler import (
     CheckPool,
     SamplerParams,
@@ -24,6 +25,11 @@ from .sampler import (
     sample_obstacle_cells_parallel,
 )
 from .segmentation import LabelField, segment, segment_check
+
+# Bits a proof holds per cell at its peak: the bitmap, the sample set's
+# visited bit, and segmentation's dense uint8 grid and int32 labels, raw
+# and merged across wrap seams.
+BITS_PER_CELL = 1 + 1 + 8 + 32 + 32
 
 INFEASIBLE = "Infeasible"
 FEASIBLE_AT_RESOLUTION = "FeasibleAtResolution"
@@ -79,6 +85,18 @@ class Verdict:
         return json.dumps(self.to_dict(), **kw)
 
 
+def _check_footprint(spec):
+    """Raise TooLarge when a proof's per-cell structures on this grid
+    would exceed the host's physical memory."""
+    need = spec.size * BITS_PER_CELL // 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise TooLarge(
+            f"grid {spec.dims} has {spec.size} cells and needs {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
 def prove_infeasibility(
     scenario,
     params: SamplerParams = None,
@@ -106,6 +124,7 @@ def prove_infeasibility(
 
     robot = scenario.robot
     spec = scenario.grid
+    _check_footprint(spec)
     obstacles = scenario.prepared()
     start_cell = config_to_cell(spec, scenario.start)
     goal_cell = config_to_cell(spec, scenario.goal)

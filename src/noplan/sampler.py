@@ -1,89 +1,161 @@
 """Without-replacement sampling of obstacle cells with hit amplification.
 
-Each iteration draws cells uniformly from the not-yet-visited pool until a
-quota of collision hits is reached. Every hit is amplified two ways: the
-collision cause lets whole axis-aligned slices of the grid be marked without
-further checks, and a few random grid neighbors of the hit are checked
-directly, since obstacle cells cluster.
+Each iteration draws not-yet-visited cells until a quota of collision hits
+is reached. The visited set is one bit per cell, and draws follow a seeded
+pseudorandom permutation of the grid that skips visited cells. Every hit is
+amplified two ways: the collision cause lets whole axis-aligned slices of
+the grid be marked without further checks, and a few random grid neighbors
+of the hit are checked directly, since obstacle cells cluster.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitmap import CSpaceBitmap, GridSpec, cell_to_config, lin_to_multi, multi_to_lin, neighbors
-from .errors import Exhausted, ValidationError
+from .errors import Exhausted, OutOfRange, ValidationError
 from .kinematics import BaseInObstacle, ObstacleHit, SelfHit
 
 
-class SampleSet:
-    """Uniform draws without replacement over linear cell indices.
+# Rounds of the Feistel network behind the draw order; four rounds with
+# independent keys make a pseudorandom permutation (Luby-Rackoff).
+FEISTEL_ROUNDS = 4
+# Walk positions enciphered at once. Each draw only pops a Python int and
+# re-tests its visited bit; a chunk costs a few dozen numpy calls.
+WALK_CHUNK = 512
 
-    A dense pool plus a reverse slot map give O(1) draw and removal by
-    swap-remove; bulk removal compacts the pool in one vectorized pass.
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser: a bijective 64-bit mixing of each element."""
+    x = (x ^ (x >> np.uint64(30))) * _MIX1
+    x = (x ^ (x >> np.uint64(27))) * _MIX2
+    return x ^ (x >> np.uint64(31))
+
+
+class SampleSet:
+    """Draws without replacement over linear cell indices ``[0, size)``.
+
+    The set is one visited bit per cell; ``size`` counts the cells not yet
+    visited. Draws walk a seeded pseudorandom permutation of the cells and
+    skip those visited, so a cell removed before the walk reaches it is
+    never drawn. The permutation is a balanced Feistel network over
+    ``Z_m x Z_m``, ``m = ceil(sqrt(size))``, with modular addition and
+    cycle walking into ``[0, size)`` (Black & Rogaway, "Ciphers with
+    Arbitrary Finite Domains", CT-RSA 2002). Its round keys and the walk's
+    starting offset come from the generator of the first draw, so equal
+    seeds give equal orders and the first draw from a full set is exactly
+    uniform.
     """
 
     def __init__(self, size: int):
         if size <= 0:
             raise ValidationError("sample set needs a positive size")
-        dtype = np.int32 if size < 2**31 else np.int64
-        self.pool = np.arange(size, dtype=dtype)
-        self.pos = np.arange(size, dtype=dtype)
+        self._cells = size
+        self._visited = np.zeros((size + 7) // 8, dtype=np.uint8)
+        self._flags = memoryview(self._visited)  # fast scalar access
+        self._m = math.isqrt(size - 1) + 1
+        self._keys = None
+        self._offset = 0
+        self._walked = 0  # walk positions enciphered so far
+        self._queue = []  # their unvisited cells, next one last
         self.size = size
 
     def __len__(self) -> int:
         return self.size
 
+    def _check(self, linear: int):
+        if not 0 <= linear < self._cells:
+            raise OutOfRange(f"linear index {linear} outside [0, {self._cells})")
+
     def __contains__(self, linear: int) -> bool:
-        return self.pos[linear] >= 0
+        self._check(linear)
+        return not self._flags[linear >> 3] >> (linear & 7) & 1
+
+    def _encipher(self, x: np.ndarray) -> np.ndarray:
+        m = np.uint64(self._m)
+        left, right = np.divmod(x, m)
+        for key in self._keys:
+            left, right = right, (left + _mix(right + key) % m) % m
+        return left * m + right
+
+    def _refill(self):
+        """Encipher the next chunk of walk positions and queue the cells of
+        it not yet visited."""
+        n = np.uint64(self._cells)
+        start = self._walked
+        self._walked = min(start + WALK_CHUNK, self._cells)
+        pos = np.arange(start, self._walked, dtype=np.uint64) + np.uint64(self._offset)
+        cells = self._encipher(pos % n)
+        # Cycle walking: the cycle of a position in [0, size) returns there.
+        out = np.flatnonzero(cells >= n)
+        while out.size:
+            cells[out] = self._encipher(cells[out])
+            out = out[cells[out] >= n]
+        cells = cells.astype(np.int64)
+        fresh = (self._visited[cells >> 3] >> (cells & 7).astype(np.uint8)) & 1 == 0
+        self._queue = cells[fresh][::-1].tolist()
 
     def draw(self, rng: np.random.Generator) -> int:
-        """Remove and return a uniformly drawn index."""
+        """Remove and return the next unvisited cell of the walk."""
         if self.size == 0:
             raise Exhausted("every cell has been visited")
-        slot = int(rng.integers(self.size))
-        idx = int(self.pool[slot])
-        last = self.pool[self.size - 1]
-        self.pool[slot] = last
-        self.pos[last] = slot
-        self.pos[idx] = -1
-        self.size -= 1
-        return idx
+        if self._keys is None:
+            self._offset = int(rng.integers(self._cells))
+            self._keys = rng.integers(2**64, size=FEISTEL_ROUNDS, dtype=np.uint64)
+        while True:
+            # Some unvisited cell lies in the queue or ahead of the walk:
+            # every cell behind it was drawn, removed, or queued.
+            while self._queue:
+                cell = self._queue.pop()
+                if self._take(cell):
+                    return cell
+            self._refill()
 
-    def remove(self, linear: int) -> bool:
-        """Remove one index if present; True when it was removed."""
-        slot = int(self.pos[linear])
-        if slot < 0:
+    def _take(self, linear: int) -> bool:
+        """Mark one in-range cell visited; True when it was not before."""
+        bit = 1 << (linear & 7)
+        if self._flags[linear >> 3] & bit:
             return False
-        last = self.pool[self.size - 1]
-        self.pool[slot] = last
-        self.pos[last] = slot
-        self.pos[linear] = -1
+        self._flags[linear >> 3] |= bit
         self.size -= 1
         return True
 
+    def remove(self, linear: int) -> bool:
+        """Remove one index if present; True when it was removed."""
+        self._check(linear)
+        return self._take(linear)
+
     def remove_bulk(self, linear) -> np.ndarray:
-        """Remove many indices at once; returns the ones actually removed."""
-        idx = np.unique(np.asarray(linear, dtype=self.pool.dtype))
-        slots = self.pos[idx]
-        live = slots >= 0
-        idx = idx[live]
-        slots = slots[live]
-        k = int(idx.size)
-        if k == 0:
+        """Remove many indices at once; returns the ones actually removed,
+        ascending. A strictly increasing input skips deduplication."""
+        idx = np.asarray(linear, dtype=np.int64).ravel()
+        if idx.size == 1:  # a one-cell slice costs no vectorised pass
+            cell = int(idx[0])
+            self._check(cell)
+            return idx if self._take(cell) else idx[:0]
+        if not (idx[1:] > idx[:-1]).all():
+            idx = np.unique(idx)
+        if idx.size == 0:
             return idx
-        new_size = self.size - k
-        self.pos[idx] = -1
-        tail = self.pool[new_size:self.size]
-        survivors = tail[self.pos[tail] >= 0]
-        holes = slots[slots < new_size]
-        self.pool[holes] = survivors
-        self.pos[survivors] = holes
-        self.size = new_size
+        self._check(int(idx[0]))
+        self._check(int(idx[-1]))
+        byte = idx >> 3
+        bit = np.uint8(1) << (idx & 7).astype(np.uint8)
+        fresh = self._visited[byte] & bit == 0
+        idx, byte, bit = idx[fresh], byte[fresh], bit[fresh]
+        if idx.size:
+            # Ascending indices group by byte; OR each group's bits at once.
+            first = np.flatnonzero(np.diff(byte, prepend=-1))
+            self._visited[byte[first]] |= np.bitwise_or.reduceat(bit, first)
+            self.size -= int(idx.size)
         return idx
 
 
@@ -116,7 +188,8 @@ def _slice_indices(spec: GridSpec, multi, fix_lo: int, fix_hi: int) -> np.ndarra
 
     First-axis-fastest linearization makes the free prefix axes one
     contiguous range and the free suffix axes one arithmetic progression,
-    so the set is an outer sum of two ranges.
+    so the set is an outer sum of two ranges. The progression is the outer
+    loop, so the indices come out strictly increasing.
     """
     strides = spec.strides()
     n = spec.ndim
@@ -132,7 +205,7 @@ def _slice_indices(spec: GridSpec, multi, fix_lo: int, fix_hi: int) -> np.ndarra
         suffix_count = 1
     out = np.arange(fixed, fixed + suffix_stride * suffix_count, suffix_stride, dtype=np.int64)
     if prefix_count > 1:
-        out = (np.arange(prefix_count, dtype=np.int64)[:, None] + out[None, :]).ravel()
+        out = (out[:, None] + np.arange(prefix_count, dtype=np.int64)[None, :]).ravel()
     return out
 
 

@@ -13,6 +13,7 @@ from support import SCENARIO_DIR
 THREE_BANDS = str(SCENARIO_DIR / "two_link_three_bands.yaml")
 SINGLE_BLOCK = str(SCENARIO_DIR / "two_link_single_block.yaml")
 FIVE_LINK = str(SCENARIO_DIR / "five_link_walled.yaml")
+FOUR_LINK = SCENARIO_DIR / "four_link_bands.yaml"
 
 
 def run(capsys, *argv):
@@ -75,6 +76,25 @@ class TestProve:
         payload = json.loads(out)
         assert payload["error"] == "ValidationError"
         assert "garbage" in payload["message"]
+
+    @pytest.mark.parametrize("grid, flags", [
+        pytest.param("grid: {delta: 1.0e-4}\n", [], id="tiny-delta"),
+        pytest.param("grid: {dims: [36, 36, 36, 36]}\n", ["--resolution", "100000"],
+                     id="huge-resolution"),
+    ])
+    def test_hostile_grid_fails_fast(self, tmp_path, grid, flags):
+        # More cells than any host's memory holds one bit of: the run must
+        # stop before it allocates, with a JSON error and no traceback.
+        text = FOUR_LINK.read_text()
+        path = tmp_path / "hostile.yaml"
+        path.write_text(text[: text.index("grid:")] + grid)
+        proc = subprocess.run(
+            [sys.executable, "-m", "noplan.cli", "prove", str(path), *flags],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_ERROR
+        assert json.loads(proc.stdout)["error"] == "TooLarge"
+        assert proc.stderr == ""
 
     def test_connectivity_flag_accepted(self, capsys):
         code, _ = run(

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from noplan.bitmap import CSpaceBitmap, GridSpec, TWO_PI, cell_to_config, lin_to_multi, multi_to_lin
-from noplan.errors import Exhausted, ValidationError
+from noplan.errors import Exhausted, OutOfRange, ValidationError
 from noplan.kinematics import (
     BaseInObstacle,
     ObstacleHit,
@@ -16,6 +20,7 @@ from noplan.sampler import (
     SamplerParams,
     SampleSet,
     _covered_hits,
+    _slice_indices,
     cells_implied_by,
     propagate,
     sample_obstacle_cells,
@@ -53,8 +58,31 @@ class TestSampleSet:
         drawn = [ss.draw(rng) for _ in range(len(ss))]
         assert sorted(drawn) == [i for i in range(30) if i % 3 != 0]
 
-    def test_small_pool_uses_int32(self):
-        assert SampleSet(100).pool.dtype == np.int32
+    def test_memory_is_one_bit_per_cell(self):
+        n = 48**4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ss = SampleSet(n)
+            ss.draw(np.random.default_rng(0))
+            ss.remove_bulk(np.arange(0, n, 7))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ss) < n
+        assert held <= n // 8 + 64 * 1024
+
+    def test_indices_outside_the_set_are_rejected(self):
+        ss = SampleSet(10)
+        for bad in (-1, 10):
+            with pytest.raises(OutOfRange):
+                ss.remove(bad)
+            with pytest.raises(OutOfRange):
+                bad in ss
+            with pytest.raises(OutOfRange):
+                ss.remove_bulk([3, bad])
+        assert len(ss) == 10
+        assert all(cell in ss for cell in range(10))
 
     def test_remove_bulk_matches_loop(self):
         rng = np.random.default_rng(2)
@@ -71,9 +99,9 @@ class TestSampleSet:
             expect = sorted({int(x) for x in req if b.remove(int(x))})
             assert sorted(got.tolist()) == expect
             assert len(a) == len(b)
-            remaining_a = sorted(a.pool[: len(a)].tolist())
-            remaining_b = sorted(b.pool[: len(b)].tolist())
-            assert remaining_a == remaining_b
+            assert [x in a for x in range(n)] == [x in b for x in range(n)]
+            drained = sorted(a.draw(rng) for _ in range(len(a)))
+            assert drained == [x for x in range(n) if x in b]
 
     def test_remove_bulk_with_duplicates(self):
         ss = SampleSet(10)
@@ -99,6 +127,63 @@ class TestSampleSet:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             SampleSet(0)
+
+
+# Small sizes, both sides of powers of two (the Feistel domain is the
+# square above the size), and a prime.
+MODEL_SIZES = [1, 2, 3, 4, 5, 15, 16, 17, 255, 256, 257, 1023, 1024, 1025, 10007]
+
+
+@st.composite
+def set_operations(draw):
+    """A size and a random interleaving of draws and removals."""
+    n = draw(st.sampled_from(MODEL_SIZES))
+    cell = st.integers(0, n - 1)
+    op = st.one_of(
+        st.just(("draw",)),
+        st.tuples(st.just("remove"), cell),
+        st.tuples(st.just("bulk"), st.lists(cell, max_size=40)),
+        st.tuples(st.just("bulk"), st.lists(cell, max_size=40, unique=True).map(sorted)),
+    )
+    return n, draw(st.integers(0, 2**32 - 1)), draw(st.lists(op, max_size=60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_operations())
+def test_sample_set_matches_a_set_model(case):
+    n, seed, ops = case
+    rng = np.random.default_rng(seed)
+    ss = SampleSet(n)
+    model = set(range(n))
+    drawn = []
+    for op in ops:
+        if op[0] == "draw":
+            if not model:
+                with pytest.raises(Exhausted):
+                    ss.draw(rng)
+                continue
+            cell = ss.draw(rng)
+            assert cell in model
+            model.discard(cell)
+            drawn.append(cell)
+        elif op[0] == "remove":
+            assert ss.remove(op[1]) == (op[1] in model)
+            model.discard(op[1])
+        else:
+            got = ss.remove_bulk(np.asarray(op[1], dtype=np.int64))
+            assert got.tolist() == sorted(model.intersection(op[1]))
+            model.difference_update(op[1])
+        assert len(ss) == len(model)
+    assert [c in ss for c in range(n)] == [c in model for c in range(n)]
+    while model:
+        cell = ss.draw(rng)
+        assert cell in model
+        model.discard(cell)
+        drawn.append(cell)
+    assert len(ss) == 0
+    assert len(set(drawn)) == len(drawn)
+    with pytest.raises(Exhausted):
+        ss.draw(rng)
 
 
 def agreement_oracle(spec, multi, lo, hi):
@@ -135,6 +220,13 @@ class TestCausePropagation:
         for a, b in [(1, 3), (1, 4), (2, 4)]:
             got = cells_implied_by(self.chain4, spec, multi, SelfHit(a, b))
             assert sorted(got.tolist()) == agreement_oracle(spec, multi, a - 1, b - 1)
+
+    def test_slices_come_out_strictly_increasing(self):
+        spec = torus([5, 4, 3, 2])
+        for lo, hi in [(0, 0), (0, 3), (1, 2), (1, 3), (2, 2), (3, 3)]:
+            got = _slice_indices(spec, (3, 2, 1, 0), lo, hi)
+            assert (np.diff(got) > 0).all()
+            assert got.tolist() == agreement_oracle(spec, (3, 2, 1, 0), lo, hi)
 
     def test_last_link_hit_implies_only_the_cell(self):
         spec = torus([5, 4, 3, 2])
