@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .geometry import Point2, Polygon2, Triangle2, point_in_polygon, polys_collide, triangulate
+from .geometry import Point2, Polygon2, Triangle2, point_in_polygon, triangulate
 from .kinematics import (
     BaseInObstacle,
     CollisionReport,
@@ -63,7 +63,6 @@ from .scenario_io import (
     chain_grid,
     load_scenario,
     min_obstacle_edge,
-    save_scenario,
     scenario_from_dict,
     se2_grid,
     suggest_resolution,
@@ -119,11 +118,9 @@ __all__ = [
     "multi_to_lin",
     "neighbors",
     "point_in_polygon",
-    "polys_collide",
     "propagate",
     "prove_infeasibility",
     "sample_obstacle_cells",
-    "save_scenario",
     "scenario_from_dict",
     "se2_grid",
     "segment",

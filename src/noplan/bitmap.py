@@ -114,6 +114,8 @@ def config_to_cell(spec: GridSpec, q) -> tuple:
     for axis in range(spec.ndim):
         v = float(q[axis])
         lo, hi = spec.lo[axis], spec.hi[axis]
+        if not math.isfinite(v):
+            raise OutOfBounds(f"axis {axis}: coordinate {v} is not finite")
         if spec.wrap[axis]:
             period = hi - lo
             v = lo + (v - lo) % period
@@ -173,10 +175,6 @@ class CSpaceBitmap:
             raise OutOfRange(f"linear index {linear} outside [0, {self.spec.size})")
         return bool((self.bits[linear >> 3] >> (linear & 7)) & 1)
 
-    def is_free_bulk(self, linear: np.ndarray) -> np.ndarray:
-        idx = np.asarray(linear, dtype=np.int64)
-        return ((self.bits[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1).astype(bool)
-
     def set_obstacle(self, linear: int):
         if not 0 <= linear < self.spec.size:
             raise OutOfRange(f"linear index {linear} outside [0, {self.spec.size})")
@@ -206,9 +204,6 @@ class CSpaceBitmap:
             raise IncompatibleGrids(f"dense shape {dense.shape} != grid {spec.dims}")
         flat = (dense != 0).reshape(-1, order="F").astype(np.uint8)
         return cls(spec, np.packbits(flat, bitorder="little"))
-
-    def copy(self) -> "CSpaceBitmap":
-        return CSpaceBitmap(self.spec, self.bits.copy())
 
     def digest(self) -> str:
         """SHA-256 over the packed bit buffer."""
@@ -253,11 +248,15 @@ class CSpaceBitmap:
 
     def to_pgm(self, path):
         """Export a 2D bitmap as a binary PGM image (free=white)."""
-        if self.spec.ndim != 2:
-            raise IncompatibleGrids("PGM export needs a 2D grid")
-        dense = self.to_dense()
-        w, h = self.spec.dims
-        img = (dense.T[::-1] * 255).astype(np.uint8)  # axis 1 upward, axis 0 rightward
-        with open(path, "wb") as f:
-            f.write(f"P5\n{w} {h}\n255\n".encode())
-            f.write(img.tobytes())
+        write_pgm(path, self.to_dense() * np.uint8(255))
+
+
+def write_pgm(path, image: np.ndarray):
+    """Write a 2D uint8 image indexed [axis 0, axis 1] as a binary PGM, with
+    axis 0 rightward and axis 1 upward."""
+    if image.ndim != 2:
+        raise IncompatibleGrids("PGM export needs a 2D grid")
+    w, h = image.shape
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n255\n".encode())
+        f.write(image.T[::-1].tobytes())

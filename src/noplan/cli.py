@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import engine, oracle
-from .bitmap import CSpaceBitmap, config_to_cell, multi_to_lin
+from .bitmap import CSpaceBitmap, config_to_cell, write_pgm
 from .errors import EngineTimeout, NoplanError, UnsupportedDimension, ValidationError
 from .sampler import SamplerParams
 from .scenario_io import chain_grid, load_scenario, se2_grid
@@ -67,16 +68,7 @@ def _load(args):
         else:
             g = scenario.grid
             grid = se2_grid(((g.lo[0], g.hi[0]), (g.lo[1], g.hi[1])), dims)
-        scenario = type(scenario)(
-            robot=scenario.robot,
-            obstacles=scenario.obstacles,
-            start=scenario.start,
-            goal=scenario.goal,
-            grid=grid,
-            obstacle_ids=scenario.obstacle_ids,
-            name=scenario.name,
-            truncate_to_links=scenario.truncate_to_links,
-        )
+        scenario = dataclasses.replace(scenario, grid=grid)
     return scenario
 
 
@@ -164,7 +156,7 @@ def cmd_bench(args) -> int:
 def cmd_render(args) -> int:
     if args.scenario.endswith((".bin", ".dump", ".cbm")):
         bitmap = CSpaceBitmap.load(args.scenario)
-        start_lin = goal_lin = None
+        endpoints = ()
     else:
         scenario = load_scenario(args.scenario)
         if scenario.grid.ndim != 2:
@@ -172,16 +164,21 @@ def cmd_render(args) -> int:
                 f"rendering needs a 2D grid, scenario has {scenario.grid.ndim} axes"
             )
         bitmap = oracle.brute_force_bitmap(scenario)
-        start_lin = multi_to_lin(scenario.grid, config_to_cell(scenario.grid, scenario.start))
-        goal_lin = multi_to_lin(scenario.grid, config_to_cell(scenario.grid, scenario.goal))
+        # start white, goal dark gray
+        endpoints = ((scenario.start, 255), (scenario.goal, 32))
     if bitmap.spec.ndim != 2:
         raise UnsupportedDimension("rendering needs a 2D bitmap")
     labels = segment(bitmap, args.connectivity)
+    # obstacles black, each free component its own gray
+    k = max(labels.component_count, 1)
+    shades = np.zeros(k + 1, dtype=np.uint8)
+    shades[1:] = np.linspace(80, 255, k)
+    image = shades[labels.to_dense()]
+    for q, value in endpoints:
+        image[config_to_cell(bitmap.spec, q)] = value
     out = args.out
     bitmap.to_pgm(f"{out}.bitmap.pgm")
-    labels.to_pgm(f"{out}.labels.pgm")
-    if start_lin is not None:
-        _mark_endpoints(f"{out}.labels.pgm", bitmap, start_lin, goal_lin)
+    write_pgm(f"{out}.labels.pgm", image)
     print(json.dumps({
         "bitmap": f"{out}.bitmap.pgm",
         "labels": f"{out}.labels.pgm",
@@ -189,24 +186,6 @@ def cmd_render(args) -> int:
         "free_cells": bitmap.free_count(),
     }))
     return 0
-
-
-def _mark_endpoints(path: str, bitmap: CSpaceBitmap, start_lin: int, goal_lin: int):
-    """Repaint the start cell white and the goal cell dark gray in a PGM."""
-    with open(path, "rb") as f:
-        magic = f.readline()
-        dims_line = f.readline()
-        maxval = f.readline()
-        pixels = np.frombuffer(f.read(), dtype=np.uint8).copy()
-    w, h = (int(v) for v in dims_line.split())
-    img = pixels.reshape(h, w)
-    for lin, value in ((start_lin, 255), (goal_lin, 32)):
-        mx = lin % bitmap.spec.dims[0]
-        my = lin // bitmap.spec.dims[0]
-        img[h - 1 - my, mx] = value
-    with open(path, "wb") as f:
-        f.write(magic + dims_line + maxval)
-        f.write(img.tobytes())
 
 
 def build_parser() -> argparse.ArgumentParser:

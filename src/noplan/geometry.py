@@ -202,11 +202,6 @@ def raw_tri_intersects(r1: tuple, r2: tuple) -> bool:
     return True
 
 
-def tri_intersects(t1: Triangle2, t2: Triangle2) -> bool:
-    """True iff the closed triangles share at least one point."""
-    return raw_tri_intersects(t1.raw(), t2.raw())
-
-
 def point_in_polygon(p: Point2, poly: Polygon2) -> bool:
     """Ray-casting containment test; points on the boundary count as inside."""
     verts = poly.vertices
@@ -223,34 +218,3 @@ def point_in_polygon(p: Point2, poly: Polygon2) -> bool:
             if px < x_cross:
                 inside = not inside
     return inside
-
-
-def _raw_bbox(raw):
-    xs = (raw[0], raw[2], raw[4])
-    ys = (raw[1], raw[3], raw[5])
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def polys_collide(a, b, prefilter: bool = True) -> bool:
-    """Any-pair intersection between two triangle soups.
-
-    ``prefilter`` toggles the bounding-box rejection; it never changes the
-    verdict, only skips separating-axis tests that cannot succeed.
-    """
-    raws_a = [(t.raw() if isinstance(t, Triangle2) else t) for t in a]
-    raws_b = [(t.raw() if isinstance(t, Triangle2) else t) for t in b]
-    if prefilter:
-        boxes_b = [_raw_bbox(r) for r in raws_b]
-        for ra in raws_a:
-            ax0, ay0, ax1, ay1 = _raw_bbox(ra)
-            for rb, (bx0, by0, bx1, by1) in zip(raws_b, boxes_b):
-                if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
-                    continue
-                if raw_tri_intersects(ra, rb):
-                    return True
-        return False
-    for ra in raws_a:
-        for rb in raws_b:
-            if raw_tri_intersects(ra, rb):
-                return True
-    return False

@@ -17,7 +17,6 @@ from .errors import InvalidConfiguration, ValidationError
 from .geometry import (
     Point2,
     Polygon2,
-    Triangle2,
     point_in_polygon,
     raw_tri_intersects,
     triangulate,
@@ -73,9 +72,6 @@ class PreparedObstacles:
             tris = triangulate(p)
             self.tri_raws.append([t.raw() for t in tris])
             self.bboxes.append(p.bbox())
-
-    def __len__(self):
-        return len(self.polygons)
 
 
 def _prepare(obstacles) -> PreparedObstacles:
@@ -208,16 +204,6 @@ class SerialChain:
             jx, jy = ex, ey
         return out
 
-    def placement(self, q) -> list:
-        """Workspace triangles covering the robot at configuration q."""
-        tris = []
-        for raws in self.link_raws(q):
-            for r in raws:
-                tris.append(
-                    Triangle2(Point2(r[0], r[1]), Point2(r[2], r[3]), Point2(r[4], r[5]))
-                )
-        return tris
-
     def collision_check(self, q, obstacles) -> CollisionReport:
         obs = _prepare(obstacles)
         per_link = self.link_raws(q)
@@ -301,12 +287,6 @@ class RigidSE2:
                 )
             )
         return out
-
-    def placement(self, q) -> list:
-        return [
-            Triangle2(Point2(r[0], r[1]), Point2(r[2], r[3]), Point2(r[4], r[5]))
-            for r in self.body_raws(q)
-        ]
 
     def collision_check(self, q, obstacles) -> CollisionReport:
         obs = _prepare(obstacles)

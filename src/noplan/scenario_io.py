@@ -11,7 +11,7 @@ over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import yaml
 
@@ -83,14 +83,12 @@ class Scenario:
         if k == self.robot.dof:
             return self
         g = self.grid
-        return Scenario(
+        return replace(
+            self,
             robot=self.robot.truncated(k),
-            obstacles=self.obstacles,
             start=self.start[:k],
             goal=self.goal[:k],
             grid=GridSpec(g.dims[:k], g.wrap[:k], g.lo[:k], g.hi[:k]),
-            obstacle_ids=self.obstacle_ids,
-            name=self.name,
             truncate_to_links=k,
         )
 
@@ -265,11 +263,13 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
             obstacle_ids=ids,
             name=str(data.get("name", name)),
         )
+        k = data.get("truncate_to_links")
+        if k is not None:
+            scenario = scenario.truncate(int(k))
     except GeometryError as exc:
         raise ValidationError(str(exc)) from exc
-    k = data.get("truncate_to_links")
-    if k is not None:
-        scenario = scenario.truncate(int(k))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"scenario: malformed field value: {exc}") from exc
     return scenario
 
 
@@ -282,44 +282,3 @@ def load_scenario(path) -> Scenario:
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed scenario file {path}: {exc}") from exc
     return scenario_from_dict(data, name=str(path))
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    robot = s.robot
-    if robot.kind == "serial_chain":
-        robot_doc = {
-            "kind": "serial_chain",
-            "base": [robot.base.x, robot.base.y],
-            "links": [{"length": l.length, "width": l.width} for l in robot.links],
-            "joint_limits": [None if lim is None else list(lim) for lim in robot.joint_limits],
-        }
-        grid_doc = {"dims": list(s.grid.dims)}
-    else:
-        robot_doc = {
-            "kind": "rigid_se2",
-            "body": [[v.x, v.y] for v in robot.body.vertices],
-            "reference_point": [robot.reference_point.x, robot.reference_point.y],
-        }
-        grid_doc = {
-            "workspace": [[s.grid.lo[0], s.grid.hi[0]], [s.grid.lo[1], s.grid.hi[1]]],
-            "dims": list(s.grid.dims),
-        }
-    doc = {
-        "name": s.name,
-        "robot": robot_doc,
-        "obstacles": [
-            {"id": oid, "vertices": [[v.x, v.y] for v in poly.vertices]}
-            for oid, poly in zip(s.obstacle_ids, s.obstacles)
-        ],
-        "start": list(s.start),
-        "goal": list(s.goal),
-        "grid": grid_doc,
-    }
-    if s.truncate_to_links is not None:
-        doc["truncate_to_links"] = s.truncate_to_links
-    return doc
-
-
-def save_scenario(s: Scenario, path):
-    with open(path, "w") as f:
-        yaml.safe_dump(scenario_to_dict(s), f, sort_keys=False)

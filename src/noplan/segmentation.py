@@ -26,9 +26,11 @@ import numpy as np
 from scipy import ndimage
 
 from .bitmap import CSpaceBitmap, GridSpec
-from .errors import IncompatibleGrids, StartOrGoalInObstacle, ValidationError
+from .errors import StartOrGoalInObstacle, ValidationError
 
 CONNECTIVITIES = ("faces", "moore")
+# Cells renumbered per step when wrap seams join labels.
+_RENUMBER_SLICE = 1 << 20
 
 
 @dataclass
@@ -44,21 +46,6 @@ class LabelField:
 
     def to_dense(self) -> np.ndarray:
         return self.labels.reshape(self.spec.dims, order="F")
-
-    def to_pgm(self, path):
-        """Export a 2D label field as PGM, components in distinct grays."""
-        if self.spec.ndim != 2:
-            raise IncompatibleGrids("PGM export needs a 2D grid")
-        dense = self.to_dense()
-        k = max(self.component_count, 1)
-        shades = np.linspace(80, 255, k).astype(np.uint8)
-        img = np.zeros(dense.shape, dtype=np.uint8)
-        free = dense > 0
-        img[free] = shades[dense[free] - 1]
-        w, h = self.spec.dims
-        with open(path, "wb") as f:
-            f.write(f"P5\n{w} {h}\n255\n".encode())
-            f.write(img.T[::-1].tobytes())
 
 
 def _structure(ndim: int, connectivity: str) -> np.ndarray:
@@ -126,7 +113,12 @@ def segment(bm: CSpaceBitmap, connectivity: str = "faces") -> LabelField:
     if is_root.all():
         return LabelField(spec, flat, raw_count)
     rank = (np.cumsum(is_root, dtype=raw.dtype) - 1)[root]
-    return LabelField(spec, rank[flat], int(is_root.sum()) - 1)
+    # Renumber in place, a slice at a time, so that only one label array
+    # per cell is ever held.
+    for lo in range(0, flat.size, _RENUMBER_SLICE):
+        part = flat[lo:lo + _RENUMBER_SLICE]
+        part[...] = rank[part]
+    return LabelField(spec, flat, int(is_root.sum()) - 1)
 
 
 def segment_check(labels: LabelField, start_linear: int, goal_linear: int) -> bool:

@@ -78,7 +78,7 @@ def test_criterion_2_propagation_soundness():
         scenes += 1
         propagated += sum(s.propagated for s in verdict.stats)
         obs = sc.prepared()
-        marked = np.flatnonzero(~verdict.bitmap.is_free_bulk(np.arange(sc.grid.size)))
+        marked = np.flatnonzero(verdict.bitmap.to_dense().reshape(-1, order="F") == 0)
         for lin in marked:
             q = cell_to_config(sc.grid, lin_to_multi(sc.grid, int(lin)))
             assert sc.robot.collision_check(q, obs).colliding, (

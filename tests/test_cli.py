@@ -5,8 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from noplan.bitmap import CSpaceBitmap, GridSpec
+from noplan.bitmap import CSpaceBitmap, GridSpec, config_to_cell
 from noplan.cli import EXIT_ERROR, EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_TIMEOUT, main
+from noplan.oracle import brute_force_bitmap
+from noplan.scenario_io import load_scenario
+from noplan.segmentation import segment
 
 from support import SCENARIO_DIR
 
@@ -96,6 +99,33 @@ class TestProve:
         assert json.loads(proc.stdout)["error"] == "TooLarge"
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("old, new", [
+        pytest.param("dims: [36, 36]", "dims: [36, abc]", id="dims-text"),
+        pytest.param("dims: [36, 36]", "dims: [36, .nan]", id="dims-nan"),
+        pytest.param("dims: [36, 36]", "dims: 7", id="dims-scalar"),
+        pytest.param("start: [200 deg, 0.0]", "start: 5", id="start-scalar"),
+        pytest.param("start: [200 deg, 0.0]", "start: [nan, 0.0]", id="start-nan"),
+        pytest.param("goal: [15 deg, 0.0]", "goal: [0.1, .inf]", id="goal-inf"),
+        pytest.param("{length: 1.0, width: 0.02}", "{length: abc, width: 0.02}",
+                     id="length-text"),
+        pytest.param("{length: 1.0, width: 0.02}", "{length: 1.0, width: [1]}",
+                     id="width-list"),
+    ])
+    def test_malformed_scenario_fails_with_json_error(self, tmp_path, old, new):
+        # A field of the wrong type or a coordinate that is not finite is
+        # bad input: a JSON error and exit 1, never a traceback.
+        text = (SCENARIO_DIR / "two_link_three_bands.yaml").read_text()
+        assert old in text
+        path = tmp_path / "malformed.yaml"
+        path.write_text(text.replace(old, new, 1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "noplan.cli", "prove", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_ERROR
+        assert json.loads(proc.stdout)["error"] in ("ParseError", "ValidationError")
+        assert proc.stderr == ""
+
     def test_connectivity_flag_accepted(self, capsys):
         code, _ = run(
             capsys, "prove", THREE_BANDS, "--connectivity", "moore", "--ns", "40",
@@ -147,6 +177,27 @@ class TestRender:
         raw = (tmp_path / "scene.labels.pgm").read_bytes()
         assert raw.startswith(b"P5\n36 36\n255\n")
         assert (tmp_path / "scene.bitmap.pgm").exists()
+
+    def test_render_marks_start_and_goal(self, capsys, tmp_path):
+        # Free cells take one gray per component, obstacles are black, the
+        # start cell is white (255) and the goal cell dark gray (32); axis 1
+        # points up the image.
+        prefix = str(tmp_path / "scene")
+        assert run(capsys, "render", THREE_BANDS, "--out", prefix)[0] == 0
+        sc = load_scenario(THREE_BANDS)
+        labels = segment(brute_force_bitmap(sc)).to_dense()
+        shades = np.linspace(80, 255, labels.max()).astype(np.uint8)
+        expect = np.where(labels > 0, shades[labels - 1], 0).astype(np.uint8)
+        start = config_to_cell(sc.grid, sc.start)
+        goal = config_to_cell(sc.grid, sc.goal)
+        assert labels[start] != labels[goal]
+        expect[start] = 255
+        expect[goal] = 32
+        raw = (tmp_path / "scene.labels.pgm").read_bytes()
+        header = b"P5\n36 36\n255\n"
+        assert raw.startswith(header)
+        pixels = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(36, 36)
+        assert np.array_equal(pixels, expect.T[::-1])
 
     def test_dump_render(self, capsys, tmp_path):
         target = tmp_path / "proof.bin"

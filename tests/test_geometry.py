@@ -9,10 +9,8 @@ from noplan.geometry import (
     Polygon2,
     Triangle2,
     point_in_polygon,
-    polys_collide,
     raw_tri_intersects,
     shoelace_area,
-    tri_intersects,
     triangulate,
 )
 
@@ -132,30 +130,30 @@ class TestTriIntersects:
     def test_separated(self):
         t1 = tri((0, 0), (1, 0), (0, 1))
         t2 = tri((5, 5), (6, 5), (5, 6))
-        assert not tri_intersects(t1, t2)
+        assert not raw_tri_intersects(t1.raw(), t2.raw())
 
     def test_overlapping(self):
         t1 = tri((0, 0), (2, 0), (0, 2))
         t2 = tri((0.5, 0.5), (3, 0.5), (0.5, 3))
-        assert tri_intersects(t1, t2)
+        assert raw_tri_intersects(t1.raw(), t2.raw())
 
     def test_touching_edge_counts(self):
         t1 = tri((0, 0), (1, 0), (0, 1))
         t2 = tri((1, 0), (2, 0), (1, 1))
-        assert tri_intersects(t1, t2)
+        assert raw_tri_intersects(t1.raw(), t2.raw())
 
     def test_touching_vertex_counts(self):
         t1 = tri((0, 0), (1, 0), (0, 1))
         t2 = tri((1, 1), (2, 1), (1, 2))
         t3 = tri((0, 1), (1, 1), (0, 2))
-        assert not tri_intersects(t1, t2)
-        assert tri_intersects(t1, t3)
+        assert not raw_tri_intersects(t1.raw(), t2.raw())
+        assert raw_tri_intersects(t1.raw(), t3.raw())
 
     def test_containment(self):
         outer = tri((0, 0), (10, 0), (0, 10))
         inner = tri((1, 1), (2, 1), (1, 2))
-        assert tri_intersects(outer, inner)
-        assert tri_intersects(inner, outer)
+        assert raw_tri_intersects(outer.raw(), inner.raw())
+        assert raw_tri_intersects(inner.raw(), outer.raw())
 
     def test_symmetry_and_oracle_agreement(self):
         rng = np.random.default_rng(3)
@@ -165,14 +163,9 @@ class TestTriIntersects:
             t2 = tri(*coords[6:].reshape(3, 2))
             if abs(t1.signed_area()) < 1e-3 or abs(t2.signed_area()) < 1e-3:
                 continue
-            got = tri_intersects(t1, t2)
-            assert got == tri_intersects(t2, t1)
+            got = raw_tri_intersects(t1.raw(), t2.raw())
+            assert got == raw_tri_intersects(t2.raw(), t1.raw())
             assert got == tris_intersect_oracle(t1, t2)
-
-    def test_raw_matches_objects(self):
-        t1 = tri((0, 0), (2, 0), (0, 2))
-        t2 = tri((1, 1), (3, 1), (1, 3))
-        assert raw_tri_intersects(t1.raw(), t2.raw()) == tri_intersects(t1, t2)
 
 
 class TestPointInPolygon:
@@ -205,23 +198,3 @@ class TestPointInPolygon:
                 for a, b in zip(verts, verts[1:] + verts[:1])
             )
             assert point_in_polygon(p, hexagon) == inside
-
-
-class TestPolysCollide:
-    def test_prefilter_never_changes_verdict(self):
-        rng = np.random.default_rng(9)
-        for _ in range(300):
-            a = triangulate(random_polygon(rng, int(rng.integers(3, 7))))
-            shift = rng.uniform(-2.5, 2.5, 2)
-            b = [
-                tri(*(np.array(t.raw()).reshape(3, 2) + shift))
-                for t in triangulate(random_polygon(rng, int(rng.integers(3, 7))))
-            ]
-            assert polys_collide(a, b, prefilter=True) == polys_collide(a, b, prefilter=False)
-
-    def test_disjoint_and_overlapping(self):
-        a = triangulate(Polygon2([(0, 0), (1, 0), (1, 1), (0, 1)]))
-        b = triangulate(Polygon2([(3, 3), (4, 3), (4, 4), (3, 4)]))
-        c = triangulate(Polygon2([(0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5)]))
-        assert not polys_collide(a, b)
-        assert polys_collide(a, c)

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from noplan.errors import InvalidConfiguration, ValidationError
-from noplan.geometry import Point2, Polygon2
+from noplan.geometry import Point2, Polygon2, point_in_polygon, raw_tri_intersects
 from noplan.kinematics import (
     BaseInObstacle,
     CollisionReport,
@@ -17,7 +19,7 @@ from noplan.kinematics import (
     SerialChain,
 )
 
-from support import square
+from support import regular_polygon, square
 
 
 def tip(chain, q):
@@ -94,7 +96,8 @@ class TestForwardKinematics:
         assert max(ys) == pytest.approx(0.1)
 
     def test_placement_covers_all_links(self):
-        assert len(unit_chain(3).placement((0.1, 0.2, 0.3))) == 6
+        raws = unit_chain(3).link_raws((0.1, 0.2, 0.3))
+        assert [len(r) for r in raws] == [2, 2, 2]
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(InvalidConfiguration):
@@ -244,3 +247,139 @@ class TestRigidBody:
         robot = RigidSE2(self.body(), Point2(0, 0))
         with pytest.raises(InvalidConfiguration):
             robot.collision_check((0.0, 0.0), [])
+
+
+# Gaps between an obstacle and the robot: exact contact, a hair apart, and
+# a hair of overlap, so that bounding boxes meet exactly at their edges.
+GAPS = (0.0, 0.0, 1e-12, -1e-12, 1e-9)
+
+
+def abutting_square(rng, raws):
+    """Square whose near edge lies on (or a hair off) the extreme vertex of
+    a triangle soup in a random axis direction."""
+    pts = [(r[i], r[i + 1]) for r in raws for i in (0, 2, 4)]
+    axis = int(rng.integers(2))
+    sign = 1.0 if rng.integers(2) else -1.0
+    extreme = max(pts, key=lambda p: sign * p[axis])
+    side = rng.uniform(0.01, 0.2)
+    edge = extreme[axis] + sign * GAPS[int(rng.integers(len(GAPS)))]
+    near, far = (edge, edge + side) if sign > 0 else (edge - side, edge)
+    lo = extreme[1 - axis] + rng.uniform(-1.5, 0.5) * side
+    spans = ((near, far), (lo, lo + side))
+    (x0, x1), (y0, y1) = spans if axis == 0 else spans[::-1]
+    return Polygon2([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+def soups_touch(raws_a, raws_b):
+    return any(raw_tri_intersects(a, b) for a in raws_a for b in raws_b)
+
+
+def all_pairs_chain_cause(chain, q, obs):
+    """The cause collision_check must report, found without bounding boxes."""
+    per_link = chain.link_raws(q)
+    for k, raws in enumerate(per_link):
+        for oi, tris in enumerate(obs.tri_raws):
+            if soups_touch(raws, tris):
+                return ObstacleHit(k + 1, oi)
+    for i in range(chain.dof):
+        for j in range(i + 2, chain.dof):
+            if soups_touch(per_link[i], per_link[j]):
+                return SelfHit(i + 1, j + 1)
+    return None
+
+
+def all_pairs_body_cause(robot, q, obs):
+    ref = Point2(q[0], q[1])
+    for oi, poly in enumerate(obs.polygons):
+        if point_in_polygon(ref, poly):
+            return BaseInObstacle(oi)
+    raws = robot.body_raws(q)
+    for oi, tris in enumerate(obs.tri_raws):
+        if soups_touch(raws, tris):
+            return ObstacleHit(1, oi)
+    return None
+
+
+def flush_self_contact(rng, side):
+    """A three-link chain whose links 1 and 3 lie along the x axis and touch
+    exactly, edge on edge, on one side of link 1: "above", "below", "left"
+    or "right". Link 1's half-width 2^-5 keeps every contact coordinate
+    exact, so the two links' bounding boxes meet exactly."""
+    h = 2.0 ** -5
+    if side == "right":
+        # cos(pi/2) * l2 is below half an ulp of l1: link 3 starts at x = l1
+        l1, l2 = rng.uniform(0.5, 1.0), rng.uniform(0.1, 0.5)
+        a = math.pi / 2
+        w3 = 2 * l2 + rng.uniform(0.01, 0.2)
+        l3 = rng.uniform(0.1, 0.5)
+    elif side == "left":
+        # link 3 ends at x = 0, link 1's base
+        l1, l2 = rng.uniform(0.2, 0.4), rng.uniform(0.6, 1.0)
+        a = rng.uniform(0.8, 1.2) * math.pi
+        t = l2 * math.sin(a)
+        w3 = 2 * (abs(t) + rng.uniform(0.01, 0.1))
+        l3 = -(l1 + l2 * math.cos(a))
+    else:
+        # link 3's near edge lies on link 1's far edge, y = +h or -h
+        l1, l2 = rng.uniform(0.5, 1.0), rng.uniform(0.2, 0.45)
+        a = rng.uniform(0.55, 0.85) * math.pi
+        if side == "below":
+            a += math.pi / 2
+        w3 = 2 * (abs(l2 * math.sin(a)) - h)
+        l3 = rng.uniform(0.1, 0.5)
+    chain = SerialChain(Point2(0.0, 0.0), [(l1, 2 * h), (l2, 0.02), (l3, w3)])
+    return chain, (0.0, a, -a)
+
+
+class TestPrefilters:
+    """The bounding-box prefilters of collision_check skip only separating-axis
+    tests that cannot succeed, so the cause equals an all-pairs search's."""
+
+    def test_chain_cause_matches_all_pairs(self):
+        rng = np.random.default_rng(21)
+        seen = Counter()
+        for _ in range(600):
+            n = int(rng.integers(2, 6))
+            chain = SerialChain(
+                Point2(*rng.uniform(-0.5, 0.5, 2)),
+                [(rng.uniform(0.2, 1.0), rng.uniform(0.02, 0.15)) for _ in range(n)],
+            )
+            q = tuple(rng.uniform(0.0, 2 * math.pi, n))
+            per_link = chain.link_raws(q)
+            obs = PreparedObstacles([
+                abutting_square(rng, per_link[int(rng.integers(n))])
+                for _ in range(int(rng.integers(0, 4)))
+            ])
+            expect = all_pairs_chain_cause(chain, q, obs)
+            assert chain.collision_check(q, obs).cause == expect
+            seen[type(expect).__name__] += 1
+        assert min(seen[k] for k in ("ObstacleHit", "SelfHit", "NoneType")) >= 30, seen
+
+    def test_rigid_body_cause_matches_all_pairs(self):
+        rng = np.random.default_rng(22)
+        seen = Counter()
+        for _ in range(600):
+            body = regular_polygon(
+                0.0, 0.0, rng.uniform(0.1, 0.5), int(rng.integers(3, 8)),
+                rng.uniform(0.0, 2 * math.pi),
+            )
+            robot = RigidSE2(body, Point2(*rng.uniform(-0.02, 0.02, 2)))
+            q = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2 * math.pi))
+            soups = [robot.body_raws(q), [(q[0], q[1]) * 3]]
+            obs = PreparedObstacles([
+                abutting_square(rng, soups[int(rng.integers(2))])
+                for _ in range(int(rng.integers(0, 4)))
+            ])
+            expect = all_pairs_body_cause(robot, q, obs)
+            assert robot.collision_check(q, obs).cause == expect
+            seen[type(expect).__name__] += 1
+        assert min(seen[k] for k in ("BaseInObstacle", "ObstacleHit", "NoneType")) >= 30, seen
+
+    @pytest.mark.parametrize("side", ["above", "below", "left", "right"])
+    def test_flush_self_contact_is_found(self, side):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            chain, q = flush_self_contact(rng, side)
+            obs = PreparedObstacles([])
+            assert all_pairs_chain_cause(chain, q, obs) == SelfHit(1, 3)
+            assert chain.collision_check(q, obs).cause == SelfHit(1, 3)

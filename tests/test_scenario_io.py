@@ -11,9 +11,7 @@ from noplan.scenario_io import (
     load_scenario,
     min_obstacle_edge,
     parse_angle,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     se2_grid,
     suggest_resolution,
 )
@@ -241,27 +239,6 @@ class TestScenarioObject:
 
 
 class TestRoundTrip:
-    def test_dict_round_trip(self):
-        sc = scenario_from_dict(chain_doc(name="round"))
-        back = scenario_from_dict(scenario_to_dict(sc))
-        assert back.robot.links == sc.robot.links
-        assert back.start == sc.start
-        assert back.goal == sc.goal
-        assert back.grid == sc.grid
-        assert back.obstacle_ids == sc.obstacle_ids
-        assert back.name == sc.name
-
-    def test_file_round_trip(self, tmp_path):
-        sc = scenario_from_dict(chain_doc(name="filed"))
-        path = tmp_path / "scene.yaml"
-        save_scenario(sc, path)
-        back = load_scenario(path)
-        assert back.grid == sc.grid
-        assert back.robot.links == sc.robot.links
-        assert [(p.x, p.y) for p in back.obstacles[0].vertices] == [
-            (p.x, p.y) for p in sc.obstacles[0].vertices
-        ]
-
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_scenario(tmp_path / "absent.yaml")

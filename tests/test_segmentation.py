@@ -1,10 +1,12 @@
 import itertools
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from noplan import segmentation
 from noplan.bitmap import CSpaceBitmap, GridSpec, multi_to_lin
 from noplan.errors import StartOrGoalInObstacle, ValidationError
 from noplan.oracle import flood_fill_labels
@@ -149,6 +151,42 @@ class TestAgainstFloodFill:
             ff_labels, ff_count = flood_fill_labels(bm, conn)
             assert lf.component_count == ff_count
             assert np.array_equal(lf.labels, ff_labels)
+
+    def test_sliced_renumbering_keeps_labels(self, monkeypatch):
+        # Seams that join labels renumber the cells a slice at a time; a
+        # slice of 7 cells splits every grid here into many slices.
+        monkeypatch.setattr(segmentation, "_RENUMBER_SLICE", 7)
+        rng = np.random.default_rng(12)
+        joined = 0
+        for trial in range(200):
+            shape = tuple(int(rng.integers(2, 8)) for _ in range(int(rng.integers(1, 5))))
+            dense = (rng.random(shape) > 0.4).astype(np.uint8)
+            wrap = tuple(bool(b) for b in rng.integers(0, 2, len(shape)))
+            conn = "moore" if trial % 2 else "faces"
+            bm = bitmap_from(dense, wrap=wrap)
+            lf = segment(bm, conn)
+            ff_labels, ff_count = flood_fill_labels(bm, conn)
+            assert lf.component_count == ff_count
+            assert np.array_equal(lf.labels, ff_labels)
+            joined += ff_count < segment(bitmap_from(dense), conn).component_count
+        assert joined >= 20
+
+
+def test_seam_merge_holds_one_label_array():
+    # A proof's per-cell budget (engine.BITS_PER_CELL) counts one int32
+    # label per cell: renumbering across wrap seams must not add a second.
+    rng = np.random.default_rng(4)
+    dense = (rng.random((2048, 1250)) > 0.5).astype(np.uint8)
+    bm = bitmap_from(dense, wrap=(True, True))
+    del dense
+    tracemalloc.start()
+    try:
+        lf = segment(bm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lf.component_count < segment(bitmap_from(bm.to_dense())).component_count
+    assert peak / bm.spec.size < 8.0
 
 
 class TestSegmentCheck:
