@@ -26,11 +26,12 @@ from .sampler import (
 )
 from .segmentation import LabelField, segment, segment_check
 
-# Bits a proof holds per cell at its peak: the bitmap, the sample set's
-# visited bit, segmentation's dense uint8 grid and its int32 labels, plus
-# 2 bits of slack. Peak RSS of four_link_bands proofs grows by 5.4 bytes
-# (43.1 bits) per cell between 48^4 and 60^4 cells.
-BITS_PER_CELL = 1 + 1 + 8 + 32 + 2
+# Bits a proof holds per cell at its peak. Peak RSS of four_link_bands
+# chain proofs grows by at most 45.6 bits per cell between two grid sizes
+# at 4-7 DOF under either connectivity (7 DOF, 14^7 to 15^7 cells). The
+# bitmap, the visited bit, the dense grid and the int32 labels take 42; the
+# rest is the arrays of one wrap seam plane, a larger share on coarser grids.
+BITS_PER_CELL = 46
 
 INFEASIBLE = "Infeasible"
 FEASIBLE_AT_RESOLUTION = "FeasibleAtResolution"
@@ -150,6 +151,21 @@ def prove_infeasibility(
     stats_list = []
     seg_time = 0.0
     pool = None
+
+    def verdict(kind, detail, labels=None):
+        return Verdict(
+            kind=kind,
+            iterations=iteration,
+            stats=stats_list,
+            labels=labels,
+            digest=bm.digest(),
+            component_count=None if labels is None else labels.component_count,
+            bitmap=bm,
+            elapsed=time.perf_counter() - t0,
+            segmentation_time=seg_time,
+            detail=detail,
+        )
+
     try:
         if threads > 1:
             pool = CheckPool(threads, robot, obstacles, spec)
@@ -176,15 +192,9 @@ def prove_infeasibility(
 
             if not bm.is_free(start_lin) or not bm.is_free(goal_lin):
                 which = "start" if not bm.is_free(start_lin) else "goal"
-                return Verdict(
-                    kind=START_OR_GOAL_IN_OBSTACLE,
-                    iterations=iteration,
-                    stats=stats_list,
-                    bitmap=bm,
-                    digest=bm.digest(),
-                    elapsed=time.perf_counter() - t0,
-                    segmentation_time=seg_time,
-                    detail=f"{which} cell was proven to collide during sampling",
+                return verdict(
+                    START_OR_GOAL_IN_OBSTACLE,
+                    f"{which} cell was proven to collide during sampling",
                 )
 
             if exhausted or iteration % segment_every == 0:
@@ -192,30 +202,14 @@ def prove_infeasibility(
                 labels = segment(bm, connectivity)
                 seg_time += time.perf_counter() - seg_t0
                 if segment_check(labels, start_lin, goal_lin):
-                    return Verdict(
-                        kind=INFEASIBLE,
-                        iterations=iteration,
-                        stats=stats_list,
-                        labels=labels,
-                        digest=bm.digest(),
-                        component_count=labels.component_count,
-                        bitmap=bm,
-                        elapsed=time.perf_counter() - t0,
-                        segmentation_time=seg_time,
-                        detail="start and goal lie in different free components",
+                    return verdict(
+                        INFEASIBLE, "start and goal lie in different free components", labels
                     )
                 if exhausted:
-                    return Verdict(
-                        kind=FEASIBLE_AT_RESOLUTION,
-                        iterations=iteration,
-                        stats=stats_list,
-                        labels=labels,
-                        digest=bm.digest(),
-                        component_count=labels.component_count,
-                        bitmap=bm,
-                        elapsed=time.perf_counter() - t0,
-                        segmentation_time=seg_time,
-                        detail="grid exhausted; start and goal share a free component",
+                    return verdict(
+                        FEASIBLE_AT_RESOLUTION,
+                        "grid exhausted; start and goal share a free component",
+                        labels,
                     )
 
             if timeout is not None and time.perf_counter() - t0 > timeout:

@@ -8,11 +8,10 @@ of first appearance), so identical bitmaps give identical label fields.
 Criterion 5 and ``TestAgainstFloodFill`` compare labels exactly and so
 guard this reliance on scipy's numbering.
 
-Wrapping axes join the labels that touch across their seam. Each group of
-joined labels keeps its least raw label (its first appearance). The
-renumbering table is built over the ``raw_count + 1`` labels, with no sort
-over the cells; the cells pass through it only when a seam joined two
-labels.
+Wrapping axes join the labels that touch across their seam, one seam offset
+(3^(n-1) per seam under ``moore``) at a time, so that no offset's label
+pairs outlive it. Each joined group keeps its least raw label; the cells
+pass through the renumbering table only when a seam joined two labels.
 """
 
 from __future__ import annotations
@@ -83,6 +82,23 @@ def _seam_pairs(raw: np.ndarray, spec: GridSpec, axis: int, connectivity: str):
         yield last[both], first[both]
 
 
+def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the groups of labels ``a[i]`` and ``b[i]``; ``root`` maps every
+    label straight to its group's least label, before and after. The fixed
+    point of min-label propagation with pointer jumping leaves every label
+    at its root, so a later join re-points only roots, never older links.
+    """
+    while True:
+        ra, rb = root[a], root[b]
+        new = root.copy()
+        np.minimum.at(new, ra, rb)
+        np.minimum.at(new, rb, ra)
+        new = new[new]
+        if np.array_equal(new, root):
+            return root
+        root = new
+
+
 def segment(bm: CSpaceBitmap, connectivity: str = "faces") -> LabelField:
     """Label the free components of a bitmap.
 
@@ -92,23 +108,10 @@ def segment(bm: CSpaceBitmap, connectivity: str = "faces") -> LabelField:
     spec = bm.spec
     raw, raw_count = ndimage.label(bm.to_dense().T, structure=_structure(spec.ndim, connectivity))
     flat = raw.reshape(-1)
-    pairs = [p for axis in range(spec.ndim) if spec.wrap[axis]
-             for p in _seam_pairs(raw.T, spec, axis, connectivity)]
-    if not pairs:
-        return LabelField(spec, flat, raw_count)
-    a, b = (np.concatenate(side) for side in zip(*pairs))
-    # Min-label propagation with pointer jumping: every label ends at the
-    # least raw label of its group.
     root = ids = np.arange(raw_count + 1, dtype=raw.dtype)
-    while True:
-        ra, rb = root[a], root[b]
-        new = root.copy()
-        np.minimum.at(new, ra, rb)
-        np.minimum.at(new, rb, ra)
-        new = new[new]
-        if np.array_equal(new, root):
-            break
-        root = new
+    for axis in itertools.compress(range(spec.ndim), spec.wrap):
+        for a, b in _seam_pairs(raw.T, spec, axis, connectivity):
+            root = _join(root, a, b)
     is_root = root == ids
     if is_root.all():
         return LabelField(spec, flat, raw_count)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from noplan import engine
+from noplan.bitmap import config_to_cell, multi_to_lin
 from noplan.engine import (
     FEASIBLE_AT_RESOLUTION,
     INFEASIBLE,
@@ -13,7 +15,7 @@ from noplan.engine import (
 )
 from noplan.errors import EngineTimeout, ValidationError
 from noplan.oracle import bfs_connected, brute_force_bitmap
-from noplan.sampler import SamplerParams
+from noplan.sampler import IterationStats, SamplerParams
 from noplan.scenario_io import Scenario, chain_grid
 from noplan.kinematics import SerialChain
 
@@ -70,6 +72,24 @@ class TestVerdicts:
         verdict = prove_infeasibility(goal_center_hit, SamplerParams(5, 2), seed=0)
         assert verdict.kind == START_OR_GOAL_IN_OBSTACLE
         assert "goal" in verdict.detail
+
+    def test_goal_cell_marked_during_sampling(self, monkeypatch):
+        # Only an unsound propagation rule could mark the goal cell, whose
+        # centre was checked free; the loop must still stop with a verdict.
+        sc = three_band_scene(36)
+        goal = multi_to_lin(sc.grid, config_to_cell(sc.grid, sc.goal))
+
+        def mark_goal(bm, ss, robot, obstacles, params, rng, iteration):
+            bm.set_obstacle(goal)
+            return IterationStats(iteration=iteration, hits=1, checks=1, propagated=0)
+
+        monkeypatch.setattr(engine, "sample_obstacle_cells", mark_goal)
+        verdict = prove_infeasibility(sc, SamplerParams(5, 2), seed=0)
+        assert verdict.kind == START_OR_GOAL_IN_OBSTACLE
+        assert verdict.iterations == 1
+        assert verdict.detail == "goal cell was proven to collide during sampling"
+        assert verdict.digest == verdict.bitmap.digest()
+        assert verdict.labels is None and verdict.component_count is None
 
     def test_feasible_when_obstacles_leave_gap(self):
         # a single band does not disconnect the torus

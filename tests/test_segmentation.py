@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noplan import segmentation
 from noplan.bitmap import CSpaceBitmap, GridSpec, multi_to_lin
 from noplan.errors import StartOrGoalInObstacle, ValidationError
 from noplan.oracle import flood_fill_labels
-from noplan.segmentation import LabelField, segment, segment_check
+from noplan.segmentation import CONNECTIVITIES, LabelField, segment, segment_check
 
 
 def bitmap_from(dense, wrap=None):
@@ -110,6 +112,12 @@ class TestMooreConnectivity:
         assert segment(bitmap_from(dense, wrap=(True, True)), "moore").component_count == 1
         assert segment(bitmap_from(dense, wrap=(True, True)), "faces").component_count == 2
         assert segment(bitmap_from(dense), "moore").component_count == 2
+        # (0, ..., 0) and (2, ..., 2) touch only through a seam offset that
+        # is diagonal in every transverse axis
+        for ndim in (3, 4, 5):
+            corners = np.zeros((3,) * ndim)
+            corners[(0,) * ndim] = corners[(2,) * ndim] = 1
+            assert segment(bitmap_from(corners, wrap=(True,) * ndim), "moore").component_count == 1
 
     def test_diagonal_seam_needs_transverse_wrap(self):
         # seam contact with a diagonal offset on a clamped transverse axis
@@ -140,10 +148,18 @@ class TestMooreConnectivity:
 
 class TestAgainstFloodFill:
     def test_random_bitmaps_match_exactly(self):
+        # The last 100 grids have 4-6 axes of 2-3 cells and few free cells,
+        # so that components meet only through moore seam offsets that run
+        # diagonally across several wrapped axes at once.
         rng = np.random.default_rng(2)
-        for trial in range(60):
-            shape = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(2, 4))))
-            dense = (rng.random(shape) > 0.45).astype(np.uint8)
+        for trial in range(160):
+            if trial < 60:
+                shape = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(2, 4))))
+                cut = 0.45
+            else:
+                shape = tuple(int(rng.integers(2, 4)) for _ in range(int(rng.integers(4, 7))))
+                cut = rng.uniform(0.7, 0.99)
+            dense = (rng.random(shape) > cut).astype(np.uint8)
             wrap = tuple(bool(b) for b in rng.integers(0, 2, len(shape)))
             conn = "moore" if trial % 2 else "faces"
             bm = bitmap_from(dense, wrap=wrap)
@@ -172,21 +188,59 @@ class TestAgainstFloodFill:
         assert joined >= 20
 
 
+def _segment_peak(bm, connectivity):
+    tracemalloc.start()
+    try:
+        lf = segment(bm, connectivity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return lf, peak / bm.spec.size
+
+
 def test_seam_merge_holds_one_label_array():
-    # A proof's per-cell budget (engine.BITS_PER_CELL) counts one int32
-    # label per cell: renumbering across wrap seams must not add a second.
+    # A proof's per-cell budget (engine.BITS_PER_CELL) counts the dense
+    # grid and one int32 label per cell. Renumbering across the 2-D grid's
+    # seams, which join labels, must not add a second; nor may the label
+    # pairs of the 5-D grid's seams, 81 offsets per seam under moore.
     rng = np.random.default_rng(4)
     dense = (rng.random((2048, 1250)) > 0.5).astype(np.uint8)
     bm = bitmap_from(dense, wrap=(True, True))
     del dense
-    tracemalloc.start()
-    try:
-        lf = segment(bm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    lf, per_cell = _segment_peak(bm, "faces")
     assert lf.component_count < segment(bitmap_from(bm.to_dense())).component_count
-    assert peak / bm.spec.size < 8.0
+    assert per_cell < 8.0
+    bm = bitmap_from(rng.random((10,) * 5) < 0.85, wrap=(True,) * 5)
+    for connectivity in CONNECTIVITIES:
+        assert _segment_peak(bm, connectivity)[1] < 8.0, connectivity
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_batched_joins_match_union_find(data):
+    # segment joins each seam offset's pairs before cutting the next
+    # offset; any split of the pairs into batches must give the partition
+    # of one union-find over all of them, each label at its group's least.
+    count = data.draw(st.integers(1, 30))
+    label = st.integers(0, count)
+    pairs = data.draw(st.lists(st.tuples(label, label), max_size=60))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pairs)), max_size=6)))
+    root = np.arange(count + 1, dtype=np.int32)
+    for lo, hi in zip([0] + cuts, cuts + [len(pairs)]):
+        batch = np.array(pairs[lo:hi], dtype=np.int32).reshape(-1, 2)
+        root = segmentation._join(root, batch[:, 0], batch[:, 1])
+
+    parent = list(range(count + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    assert root.tolist() == [find(x) for x in range(count + 1)]
 
 
 class TestSegmentCheck:
