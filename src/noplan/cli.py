@@ -1,7 +1,8 @@
 """Command line front end: prove, bench, render.
 
 Exit codes: 0 infeasibility proven, 2 feasible at the chosen resolution,
-3 timeout (bench mode), 1 validation/IO errors or a colliding start/goal.
+3 timeout (bench mode), 1 usage/validation/IO errors or a colliding
+start/goal.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    help="segment after every K-th iteration (default 1)")
     p.add_argument("--truncate-links", type=int, default=None, metavar="K",
                    help="restrict a chain scenario to its first K links")
-    p.add_argument("--export-bitmap", type=str, default=None, metavar="PATH",
-                   help="write the final bitmap (binary dump, or PGM for 2D .pgm paths)")
 
 
 def _load(args):
@@ -89,6 +88,11 @@ def _exit_code(kind: str) -> int:
 
 def cmd_prove(args) -> int:
     scenario = _load(args)
+    path = args.export_bitmap
+    if path and path.endswith(".pgm") and scenario.grid.ndim != 2:
+        raise UnsupportedDimension(
+            f"PGM export needs a 2D grid, scenario has {scenario.grid.ndim} axes"
+        )
     verdict = engine.prove_infeasibility(
         scenario,
         params=SamplerParams(args.ns, args.d),
@@ -98,12 +102,14 @@ def cmd_prove(args) -> int:
         threads=args.threads,
     )
     print(verdict.to_json(indent=2))
-    if args.export_bitmap and verdict.bitmap is not None:
-        _export(verdict.bitmap, args.export_bitmap)
+    if path and verdict.bitmap is not None:
+        _export(verdict.bitmap, path)
     return _exit_code(verdict.kind)
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     scenario = _load(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(["trial", "seed", "verdict", "iterations",
@@ -188,8 +194,16 @@ def cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into a ValidationError, so that it exits 1 with
+    the JSON error line; argparse would exit 2, the feasible verdict's code."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noplan",
         description="Prove motion-planning infeasibility on a discretized configuration space.",
     )
@@ -197,6 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prove = sub.add_parser("prove", help="run the prover on one scenario")
     _add_common_flags(p_prove)
+    p_prove.add_argument("--export-bitmap", type=str, default=None, metavar="PATH",
+                         help="write the final bitmap (binary dump, or PGM for 2D .pgm paths)")
     p_prove.set_defaults(func=cmd_prove)
 
     p_bench = sub.add_parser("bench", help="repeated seeded trials, CSV output")
@@ -215,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NoplanError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitmap import CSpaceBitmap, cell_to_config, config_to_cell, multi_to_lin
-from .errors import EngineTimeout, Exhausted, TooLarge, ValidationError
+from .errors import EngineTimeout, TooLarge, ValidationError
 from .sampler import (
     CheckPool,
     SamplerParams,
@@ -170,25 +170,16 @@ def prove_infeasibility(
         if threads > 1:
             pool = CheckPool(threads, robot, obstacles, spec)
         iteration = 0
-        exhausted = False
         while True:
             iteration += 1
             it_t0 = time.perf_counter()
-            try:
-                if pool is None:
-                    st = sample_obstacle_cells(
-                        bm, ss, robot, obstacles, params, rng, iteration
-                    )
-                else:
-                    st = sample_obstacle_cells_parallel(
-                        bm, ss, robot, pool, params, rng, iteration
-                    )
-            except Exhausted as exc:
-                st = exc.stats
-                exhausted = True
-            if st is not None:
-                st.elapsed = time.perf_counter() - it_t0
-                stats_list.append(st)
+            if pool is None:
+                st = sample_obstacle_cells(bm, ss, robot, obstacles, params, rng, iteration)
+            else:
+                st = sample_obstacle_cells_parallel(bm, ss, robot, pool, params, rng, iteration)
+            st.elapsed = time.perf_counter() - it_t0
+            stats_list.append(st)
+            exhausted = ss.size == 0
 
             if not bm.is_free(start_lin) or not bm.is_free(goal_lin):
                 which = "start" if not bm.is_free(start_lin) else "goal"

@@ -30,15 +30,7 @@ class OutOfBounds(NoplanError):
 
 
 class Exhausted(NoplanError):
-    """Every cell of the grid has been visited.
-
-    When raised from a sampling iteration the partial iteration stats are
-    attached so the caller can still account for the work done.
-    """
-
-    def __init__(self, msg="sample pool exhausted", stats=None):
-        super().__init__(msg)
-        self.stats = stats
+    """A draw from a sample set whose every cell has been visited."""
 
 
 class StartOrGoalInObstacle(NoplanError):

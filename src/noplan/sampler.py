@@ -341,8 +341,7 @@ def sample_obstacle_cells(
     batch it could not have been taken. A batch is applied whole, so a
     pooled iteration may end with more hits than the quota.
 
-    Raises Exhausted with the partial stats attached when every cell has
-    been visited before the quota is met.
+    The iteration ends short of the quota when every cell has been visited.
     """
     spec = bm.spec
     if params.neighbor_checks > 3**spec.ndim - 1:
@@ -387,9 +386,7 @@ def sample_obstacle_cells(
         return propagated
 
     drawn = draws()
-    while stats.hits < params.min_hits:
-        if ss.size == 0:
-            raise Exhausted("every cell has been visited", stats)
+    while stats.hits < params.min_hits and ss.size:
         checked, hits = next_batch(drawn)
         stats.checks += checked
         if not hits:

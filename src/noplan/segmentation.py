@@ -10,8 +10,10 @@ guard this reliance on scipy's numbering.
 
 Wrapping axes join the labels that touch across their seam, one seam offset
 (3^(n-1) per seam under ``moore``) at a time, so that no offset's label
-pairs outlive it. Each joined group keeps its least raw label; the cells
-pass through the renumbering table only when a seam joined two labels.
+pairs outlive it. Each joined group keeps its least raw label. The cells
+keep their raw labels and are read through a table from raw label to
+component id, so no second scan rewrites them as in two-scan labelling
+(He, Chao & Suzuki, IEEE TIP 17(5), 2008).
 """
 
 from __future__ import annotations
@@ -28,23 +30,24 @@ from .bitmap import CSpaceBitmap, GridSpec
 from .errors import StartOrGoalInObstacle, ValidationError
 
 CONNECTIVITIES = ("faces", "moore")
-# Cells renumbered per step when wrap seams join labels.
-_RENUMBER_SLICE = 1 << 20
 
 
 @dataclass
 class LabelField:
-    """Per-cell component ids, linear-indexed; 0 marks obstacle cells."""
+    """Per-cell component ids, 0 marking obstacle cells: ``raw`` holds the
+    raw label of each cell, linear-indexed, and ``table`` maps a raw label
+    to its component id (``table[0] == 0``)."""
 
     spec: GridSpec
-    labels: np.ndarray
+    raw: np.ndarray
+    table: np.ndarray
     component_count: int
 
     def label_of(self, linear: int) -> int:
-        return int(self.labels[linear])
+        return int(self.table[self.raw[linear]])
 
     def to_dense(self) -> np.ndarray:
-        return self.labels.reshape(self.spec.dims, order="F")
+        return self.table[self.raw].reshape(self.spec.dims, order="F")
 
 
 def _structure(ndim: int, connectivity: str) -> np.ndarray:
@@ -107,21 +110,13 @@ def segment(bm: CSpaceBitmap, connectivity: str = "faces") -> LabelField:
     """
     spec = bm.spec
     raw, raw_count = ndimage.label(bm.to_dense().T, structure=_structure(spec.ndim, connectivity))
-    flat = raw.reshape(-1)
     root = ids = np.arange(raw_count + 1, dtype=raw.dtype)
     for axis in itertools.compress(range(spec.ndim), spec.wrap):
         for a, b in _seam_pairs(raw.T, spec, axis, connectivity):
             root = _join(root, a, b)
     is_root = root == ids
-    if is_root.all():
-        return LabelField(spec, flat, raw_count)
-    rank = (np.cumsum(is_root, dtype=raw.dtype) - 1)[root]
-    # Renumber in place, a slice at a time, so that only one label array
-    # per cell is ever held.
-    for lo in range(0, flat.size, _RENUMBER_SLICE):
-        part = flat[lo:lo + _RENUMBER_SLICE]
-        part[...] = rank[part]
-    return LabelField(spec, flat, int(is_root.sum()) - 1)
+    table = (np.cumsum(is_root, dtype=raw.dtype) - 1)[root]
+    return LabelField(spec, raw.reshape(-1), table, int(is_root.sum()) - 1)
 
 
 def segment_check(labels: LabelField, start_linear: int, goal_linear: int) -> bool:

@@ -68,6 +68,15 @@ class TestProve:
         loaded = CSpaceBitmap.load(target)
         assert loaded.digest() == json.loads(out)["bitmap_sha256"]
 
+    def test_pgm_export_of_non_2d_grid_fails_before_proving(self, capsys, tmp_path):
+        target = tmp_path / "proof.pgm"
+        code, out = run(
+            capsys, "prove", str(FOUR_LINK), "--seed", "0", "--export-bitmap", str(target),
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "UnsupportedDimension"
+        assert not target.exists()
+
     def test_missing_file_is_json_error(self, capsys):
         code, out = run(capsys, "prove", "no_such_scene.yaml")
         assert code == EXIT_ERROR
@@ -244,6 +253,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == EXIT_INFEASIBLE
         assert json.loads(proc.stdout)["kind"] == "Infeasible"
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["prove", THREE_BANDS, "--ns", "abc"], id="bad-int"),
+        pytest.param(["prove", THREE_BANDS, "--no-such-flag"], id="unknown-flag"),
+        pytest.param(["prove"], id="missing-scenario"),
+        pytest.param(["bench", THREE_BANDS, "--trials", "0"], id="zero-trials"),
+        pytest.param(["bench", THREE_BANDS, "--export-bitmap", "x.bin"], id="bench-export"),
+    ])
+    def test_usage_error_is_json_error(self, capsys, argv):
+        # argparse exits 2 on a usage error, the code of a feasible verdict
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "ValidationError"
+        assert err == ""
+
+    def test_subcommand_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["prove", "--help"])
+        assert exc.value.code == 0
+        assert "--export-bitmap" in capsys.readouterr().out
 
     def test_help_lists_subcommands(self):
         proc = subprocess.run(

@@ -15,7 +15,7 @@ from noplan.engine import (
 )
 from noplan.errors import EngineTimeout, ValidationError
 from noplan.oracle import bfs_connected, brute_force_bitmap
-from noplan.sampler import IterationStats, SamplerParams
+from noplan.sampler import IterationStats, SampleSet, SamplerParams
 from noplan.scenario_io import Scenario, chain_grid
 from noplan.kinematics import SerialChain
 
@@ -132,6 +132,37 @@ class TestLoopBehavior:
         assert len(verdict.stats) == verdict.iterations
         assert all(s.iteration == i + 1 for i, s in enumerate(verdict.stats))
         assert verdict.stats[-1].checks > 0
+
+    def test_quota_met_by_last_cell_ends_the_proof(self):
+        # One link and one obstacle on a 24-cell circle: every hit marks
+        # only its own cell, and with no neighbour checks the first
+        # iteration draws in the sample set's walk order until it has hit
+        # every obstacle cell. The seed is the first whose walk ends on an
+        # obstacle cell, so that iteration empties the grid as it meets
+        # its quota, and its verdict must not wait for an empty iteration.
+        chain = SerialChain((0, 0), [(1.0, 0.02)])
+        sc = Scenario(
+            robot=chain,
+            obstacles=[square(0.6, 0.0, 0.1)],
+            start=(math.radians(180),),
+            goal=(math.radians(120),),
+            grid=chain_grid(chain, [24]),
+        )
+        spec = sc.grid
+        obstacle = brute_force_bitmap(sc).to_dense() == 0
+        hits = int(obstacle.sum())
+        assert 1 < hits < spec.size
+
+        def last_drawn(seed):
+            ss, rng = SampleSet(spec.size), np.random.default_rng(seed)
+            return [ss.draw(rng) for _ in range(spec.size)][-1]
+
+        seed = next(s for s in range(100) if obstacle[last_drawn(s)])
+        verdict = prove_infeasibility(sc, SamplerParams(hits, 0), seed=seed)
+        assert verdict.kind == FEASIBLE_AT_RESOLUTION
+        assert verdict.iterations == 1
+        assert [(s.hits, s.checks) for s in verdict.stats] == [(hits, spec.size)]
+        assert all(entry["checks"] > 0 for entry in verdict.to_dict()["per_iteration"])
 
     def test_timeout_raises(self):
         sc = three_band_scene(48)

@@ -27,12 +27,12 @@ class TestBasicLabeling:
     def test_all_free_is_one_component(self):
         lf = segment(bitmap_from(np.ones((6, 5))))
         assert lf.component_count == 1
-        assert set(lf.labels.tolist()) == {1}
+        assert set(lf.to_dense().ravel().tolist()) == {1}
 
     def test_all_obstacle_is_zero_components(self):
         lf = segment(bitmap_from(np.zeros((4, 4))))
         assert lf.component_count == 0
-        assert set(lf.labels.tolist()) == {0}
+        assert set(lf.to_dense().ravel().tolist()) == {0}
 
     def test_column_splits_plane(self):
         dense = np.ones((9, 7))
@@ -51,14 +51,19 @@ class TestBasicLabeling:
         assert lf.label_of(multi_to_lin(lf.spec, (5, 0))) == 2
 
     def test_label_of_matches_dense_view(self):
+        # A quarter of the cells free, so that the seams join labels under
+        # moore too and the table maps several raw labels to one id.
         rng = np.random.default_rng(0)
-        dense = (rng.random((6, 5, 4)) > 0.4).astype(np.uint8)
+        dense = (rng.random((6, 5, 4)) > 0.75).astype(np.uint8)
         bm = bitmap_from(dense, wrap=(True, False, True))
-        lf = segment(bm)
-        dl = lf.to_dense()
-        for lin in range(bm.spec.size):
-            multi = np.unravel_index(lin, bm.spec.dims, order="F")
-            assert lf.label_of(lin) == dl[multi]
+        for connectivity in CONNECTIVITIES:
+            lf = segment(bm, connectivity)
+            unwrapped = segment(bitmap_from(dense), connectivity)
+            assert lf.component_count < unwrapped.component_count, connectivity
+            dl = lf.to_dense()
+            for lin in range(bm.spec.size):
+                multi = np.unravel_index(lin, bm.spec.dims, order="F")
+                assert lf.label_of(lin) == dl[multi]
 
     def test_obstacle_cells_labeled_zero(self):
         dense = np.ones((5, 5))
@@ -166,12 +171,12 @@ class TestAgainstFloodFill:
             lf = segment(bm, conn)
             ff_labels, ff_count = flood_fill_labels(bm, conn)
             assert lf.component_count == ff_count
-            assert np.array_equal(lf.labels, ff_labels)
+            assert np.array_equal(lf.to_dense().reshape(-1, order="F"), ff_labels)
 
-    def test_sliced_renumbering_keeps_labels(self, monkeypatch):
-        # Seams that join labels renumber the cells a slice at a time; a
-        # slice of 7 cells splits every grid here into many slices.
-        monkeypatch.setattr(segmentation, "_RENUMBER_SLICE", 7)
+    def test_sliced_renumbering_keeps_labels(self):
+        # Seams that join labels leave the cells' raw labels and point the
+        # joined raw labels at one component id; at least 20 grids here
+        # have seams that join.
         rng = np.random.default_rng(12)
         joined = 0
         for trial in range(200):
@@ -183,7 +188,7 @@ class TestAgainstFloodFill:
             lf = segment(bm, conn)
             ff_labels, ff_count = flood_fill_labels(bm, conn)
             assert lf.component_count == ff_count
-            assert np.array_equal(lf.labels, ff_labels)
+            assert np.array_equal(lf.to_dense().reshape(-1, order="F"), ff_labels)
             joined += ff_count < segment(bitmap_from(dense), conn).component_count
         assert joined >= 20
 
