@@ -20,8 +20,8 @@ from . import engine, oracle
 from .bitmap import CSpaceBitmap, config_to_cell, write_pgm
 from .errors import EngineTimeout, NoplanError, UnsupportedDimension, ValidationError
 from .sampler import SamplerParams
-from .scenario_io import chain_grid, load_scenario, se2_grid
-from .segmentation import segment
+from .scenario_io import load_scenario
+from .segmentation import CONNECTIVITIES, segment
 
 EXIT_INFEASIBLE = 0
 EXIT_ERROR = 1
@@ -31,14 +31,14 @@ EXIT_TIMEOUT = 3
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("scenario", help="scenario file (YAML)")
-    p.add_argument("--ns", type=int, default=100, metavar="N",
-                   help="collision hits per sampling iteration (default 100)")
-    p.add_argument("--d", type=int, default=5, metavar="K",
-                   help="random neighbors checked per hit (default 5)")
+    p.add_argument("--ns", type=int, default=SamplerParams.min_hits, metavar="N",
+                   help="collision hits per sampling iteration (default %(default)s)")
+    p.add_argument("--d", type=int, default=SamplerParams.neighbor_checks, metavar="K",
+                   help="random neighbors checked per hit (default %(default)s)")
     p.add_argument("--resolution", type=str, default=None, metavar="N1,N2,...",
                    help="override grid resolution; one value broadcasts to all axes")
-    p.add_argument("--connectivity", choices=("faces", "moore"), default="faces",
-                   help="free-space adjacency used by segmentation (default faces)")
+    p.add_argument("--connectivity", choices=CONNECTIVITIES, default="faces",
+                   help="free-space adjacency used by segmentation (default %(default)s)")
     p.add_argument("--seed", type=int, default=None, help="random seed")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for collision checking (default 1)")
@@ -60,15 +60,28 @@ def _load(args):
                 "--resolution expects integers, e.g. '36' or '24,18': "
                 f"got {args.resolution!r}"
             )
+        ndim = scenario.grid.ndim
         if len(dims) == 1:
-            dims = dims * scenario.grid.ndim
-        if scenario.robot.kind == "serial_chain":
-            grid = chain_grid(scenario.robot, dims)
-        else:
-            g = scenario.grid
-            grid = se2_grid(((g.lo[0], g.hi[0]), (g.lo[1], g.hi[1])), dims)
+            dims = dims * ndim
+        if len(dims) != ndim:
+            raise ValidationError(
+                f"--resolution gives {len(dims)} axis sizes, the grid has {ndim} axes"
+            )
+        grid = dataclasses.replace(scenario.grid, dims=dims)
         scenario = dataclasses.replace(scenario, grid=grid)
     return scenario
+
+
+def _prove(args, scenario, seed, timeout=None) -> engine.Verdict:
+    return engine.prove_infeasibility(
+        scenario,
+        params=SamplerParams(args.ns, args.d),
+        seed=seed,
+        connectivity=args.connectivity,
+        segment_every=args.segment_every,
+        threads=args.threads,
+        timeout=timeout,
+    )
 
 
 def _export(bitmap: CSpaceBitmap, path: str):
@@ -93,14 +106,7 @@ def cmd_prove(args) -> int:
         raise UnsupportedDimension(
             f"PGM export needs a 2D grid, scenario has {scenario.grid.ndim} axes"
         )
-    verdict = engine.prove_infeasibility(
-        scenario,
-        params=SamplerParams(args.ns, args.d),
-        seed=args.seed,
-        connectivity=args.connectivity,
-        segment_every=args.segment_every,
-        threads=args.threads,
-    )
+    verdict = _prove(args, scenario, args.seed)
     print(verdict.to_json(indent=2))
     if path and verdict.bitmap is not None:
         _export(verdict.bitmap, path)
@@ -112,8 +118,6 @@ def cmd_bench(args) -> int:
         raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     scenario = _load(args)
     writer = csv.writer(sys.stdout)
-    writer.writerow(["trial", "seed", "verdict", "iterations",
-                     "segmentation_time", "total_time"])
     base_seed = args.seed if args.seed is not None else 0
     kinds = set()
     iterations, seg_times, totals = [], [], []
@@ -121,16 +125,15 @@ def cmd_bench(args) -> int:
     for trial in range(args.trials):
         seed = base_seed + trial
         try:
-            verdict = engine.prove_infeasibility(
-                scenario,
-                params=SamplerParams(args.ns, args.d),
-                seed=seed,
-                connectivity=args.connectivity,
-                segment_every=args.segment_every,
-                threads=args.threads,
-                timeout=args.timeout,
-            )
+            verdict = _prove(args, scenario, seed, args.timeout)
         except EngineTimeout:
+            verdict = None
+        # The header waits for the first trial, which raises on an invalid
+        # flag, so that an error is the only line on stdout.
+        if trial == 0:
+            writer.writerow(["trial", "seed", "verdict", "iterations",
+                             "segmentation_time", "total_time"])
+        if verdict is None:
             timed_out += 1
             writer.writerow([trial, seed, "Timeout", "", "", ""])
             continue
@@ -225,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="export PGM images for a 2D scenario or dump")
     p_render.add_argument("scenario", help="scenario file or bitmap dump")
     p_render.add_argument("--out", default="render", help="output path prefix")
-    p_render.add_argument("--connectivity", choices=("faces", "moore"), default="faces")
+    p_render.add_argument("--connectivity", choices=CONNECTIVITIES, default="faces")
     p_render.set_defaults(func=cmd_render)
     return parser
 

@@ -50,15 +50,14 @@ class BaseInObstacle:
 
 @dataclass(frozen=True)
 class CollisionReport:
-    colliding: bool
     cause: object = None
 
-    def __post_init__(self):
-        if self.colliding == (self.cause is None):
-            raise ValidationError("collision report: cause must be set iff colliding")
+    @property
+    def colliding(self) -> bool:
+        return self.cause is not None
 
 
-FREE = CollisionReport(False, None)
+FREE = CollisionReport()
 
 
 class PreparedObstacles:
@@ -72,12 +71,6 @@ class PreparedObstacles:
             tris = triangulate(p)
             self.tri_raws.append([t.raw() for t in tris])
             self.bboxes.append(p.bbox())
-
-
-def _prepare(obstacles) -> PreparedObstacles:
-    if isinstance(obstacles, PreparedObstacles):
-        return obstacles
-    return PreparedObstacles(obstacles)
 
 
 def _raws_bbox(raws):
@@ -204,14 +197,13 @@ class SerialChain:
             jx, jy = ex, ey
         return out
 
-    def collision_check(self, q, obstacles) -> CollisionReport:
-        obs = _prepare(obstacles)
+    def collision_check(self, q, obs: PreparedObstacles) -> CollisionReport:
         per_link = self.link_raws(q)
         boxes = [_raws_bbox(raws) for raws in per_link]
         for k, raws in enumerate(per_link):
             oi = _raws_hit_obstacle(raws, boxes[k], obs)
             if oi is not None:
-                return CollisionReport(True, ObstacleHit(k + 1, oi))
+                return CollisionReport(ObstacleHit(k + 1, oi))
         for i in range(self.dof):
             bi = boxes[i]
             for j in range(i + 2, self.dof):
@@ -221,7 +213,7 @@ class SerialChain:
                 for ra in per_link[i]:
                     for rb in per_link[j]:
                         if raw_tri_intersects(ra, rb):
-                            return CollisionReport(True, SelfHit(i + 1, j + 1))
+                            return CollisionReport(SelfHit(i + 1, j + 1))
         return FREE
 
 
@@ -257,14 +249,10 @@ class RigidSE2:
             )
             for t in triangulate(body)
         ]
-        self._radius = max(math.hypot(x, y) for r in self._rel for x, y in zip(r[0::2], r[1::2]))
 
     @property
     def dof(self) -> int:
         return 3
-
-    def reach(self) -> float:
-        return self._radius
 
     def _validate(self, q):
         if len(q) != 3:
@@ -288,16 +276,15 @@ class RigidSE2:
             )
         return out
 
-    def collision_check(self, q, obstacles) -> CollisionReport:
-        obs = _prepare(obstacles)
+    def collision_check(self, q, obs: PreparedObstacles) -> CollisionReport:
         self._validate(q)
         ref = Point2(q[0], q[1])
         for oi, poly in enumerate(obs.polygons):
             bx0, by0, bx1, by1 = obs.bboxes[oi]
             if bx0 <= ref.x <= bx1 and by0 <= ref.y <= by1 and point_in_polygon(ref, poly):
-                return CollisionReport(True, BaseInObstacle(oi))
+                return CollisionReport(BaseInObstacle(oi))
         raws = self.body_raws(q)
         oi = _raws_hit_obstacle(raws, _raws_bbox(raws), obs)
         if oi is not None:
-            return CollisionReport(True, ObstacleHit(1, oi))
+            return CollisionReport(ObstacleHit(1, oi))
         return FREE

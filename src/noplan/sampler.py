@@ -150,12 +150,9 @@ class SampleSet:
         byte = idx >> 3
         bit = np.uint8(1) << (idx & 7).astype(np.uint8)
         fresh = self._visited[byte] & bit == 0
-        idx, byte, bit = idx[fresh], byte[fresh], bit[fresh]
-        if idx.size:
-            # Ascending indices group by byte; OR each group's bits at once.
-            first = np.flatnonzero(np.diff(byte, prepend=-1))
-            self._visited[byte[first]] |= np.bitwise_or.reduceat(bit, first)
-            self.size -= int(idx.size)
+        np.bitwise_or.at(self._visited, byte[fresh], bit[fresh])
+        idx = idx[fresh]
+        self.size -= int(idx.size)
         return idx
 
 

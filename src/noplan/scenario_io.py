@@ -78,8 +78,6 @@ class Scenario:
         """
         if self.robot.kind != "serial_chain":
             raise ValidationError("only serial chains support truncation")
-        if not 1 <= k <= self.robot.dof:
-            raise ValidationError(f"truncation wants 1..{self.robot.dof} links, got {k}")
         if k == self.robot.dof:
             return self
         g = self.grid

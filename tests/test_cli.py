@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from noplan.bitmap import CSpaceBitmap, GridSpec, config_to_cell
-from noplan.cli import EXIT_ERROR, EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_TIMEOUT, main
+from noplan.cli import (
+    EXIT_ERROR,
+    EXIT_FEASIBLE,
+    EXIT_INFEASIBLE,
+    EXIT_TIMEOUT,
+    _load,
+    build_parser,
+    main,
+)
 from noplan.oracle import brute_force_bitmap
-from noplan.scenario_io import load_scenario
+from noplan.scenario_io import chain_grid, load_scenario, se2_grid
 from noplan.segmentation import segment
 
 from support import SCENARIO_DIR
@@ -17,6 +25,7 @@ THREE_BANDS = str(SCENARIO_DIR / "two_link_three_bands.yaml")
 SINGLE_BLOCK = str(SCENARIO_DIR / "two_link_single_block.yaml")
 FIVE_LINK = str(SCENARIO_DIR / "five_link_walled.yaml")
 FOUR_LINK = SCENARIO_DIR / "four_link_bands.yaml"
+RIGID_WALL = str(SCENARIO_DIR / "rigid_body_wall.yaml")
 
 
 def run(capsys, *argv):
@@ -44,6 +53,47 @@ class TestProve:
             "--seed", "1",
         )
         assert json.loads(out)["grid"]["dims"] == [24, 18]
+
+    @pytest.mark.parametrize("path, flags, dims", [
+        pytest.param(RIGID_WALL, ["--resolution", "40,30,36"], (40, 30, 36), id="rigid"),
+        pytest.param(str(FOUR_LINK), ["--resolution", "20,22,24,26"], (20, 22, 24, 26),
+                     id="four-link"),
+        pytest.param(FIVE_LINK, ["--resolution", "24"], (24,) * 5, id="five-link"),
+        pytest.param(FIVE_LINK, ["--resolution", "20,22,24", "--truncate-links", "3"],
+                     (20, 22, 24), id="five-link-truncated"),
+        pytest.param(None, ["--resolution", "30,20"], (30, 20), id="joint-limits"),
+    ])
+    def test_resolution_keeps_bounds_and_wrap(self, tmp_path, path, flags, dims):
+        if path is None:
+            text = (SCENARIO_DIR / "two_link_three_bands.yaml").read_text()
+            path = tmp_path / "limited.yaml"
+            path.write_text(
+                text.replace("obstacles:", "  joint_limits: [null, [-1.5, 1.5]]\nobstacles:")
+            )
+        args = build_parser().parse_args(["prove", str(path), *flags])
+        scenario = _load(args)
+        args.resolution = None
+        file_grid = _load(args).grid
+        grid = scenario.grid
+        assert grid.dims == dims
+        assert (grid.lo, grid.hi, grid.wrap) == (file_grid.lo, file_grid.hi, file_grid.wrap)
+        # the grid each robot kind's builder gives for the new dims
+        if scenario.robot.kind == "serial_chain":
+            assert grid == chain_grid(scenario.robot, dims)
+        else:
+            assert grid == se2_grid(((grid.lo[0], grid.hi[0]), (grid.lo[1], grid.hi[1])), dims)
+        if path == tmp_path / "limited.yaml":
+            assert grid.wrap == (True, False) and grid.hi[1] == 1.5
+
+    @pytest.mark.parametrize("path, resolution, given, axes", [
+        (THREE_BANDS, "24,18,12", 3, 2), (RIGID_WALL, "40,30", 2, 3),
+    ])
+    def test_resolution_count_must_match_axes(self, capsys, path, resolution, given, axes):
+        code, out = run(capsys, "prove", path, "--resolution", resolution)
+        assert code == EXIT_ERROR
+        payload = json.loads(out)
+        assert payload["error"] == "ValidationError"
+        assert str(given) in payload["message"] and str(axes) in payload["message"]
 
     def test_seed_reproduces_digest(self, capsys):
         _, out_a = run(capsys, "prove", THREE_BANDS, "--ns", "25", "--seed", "5")
@@ -166,6 +216,17 @@ class TestBench:
             "--seed", "0",
         )
         assert code == EXIT_FEASIBLE
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--threads", "0"), ("--ns", "0"), ("--segment-every", "0"), ("--d", "9"),
+    ])
+    def test_invalid_flag_prints_only_the_error(self, capsys, flag, value):
+        code = main(["bench", THREE_BANDS, "--trials", "2", flag, value])
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["error"] == "ValidationError"
+        assert err == ""
 
     def test_timeout_rows(self, capsys):
         code, out = run(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noplan import engine
-from noplan.bitmap import config_to_cell, multi_to_lin
+from noplan.bitmap import GridSpec, config_to_cell, multi_to_lin
 from noplan.engine import (
     FEASIBLE_AT_RESOLUTION,
     INFEASIBLE,
@@ -13,7 +13,7 @@ from noplan.engine import (
     Verdict,
     prove_infeasibility,
 )
-from noplan.errors import EngineTimeout, ValidationError
+from noplan.errors import EngineTimeout, TooLarge, ValidationError
 from noplan.oracle import bfs_connected, brute_force_bitmap
 from noplan.sampler import IterationStats, SampleSet, SamplerParams
 from noplan.scenario_io import Scenario, chain_grid
@@ -179,6 +179,39 @@ class TestLoopBehavior:
         for threads in (1, 2):
             with pytest.raises(ValidationError):
                 prove_infeasibility(three_band_scene(36), SamplerParams(30, 9), threads=threads)
+
+
+class TestFootprint:
+    def fake_memory(self, monkeypatch, nbytes):
+        sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        monkeypatch.setattr(engine.os, "sysconf", sizes.__getitem__)
+
+    def verdicts(self, monkeypatch, spec, have) -> list:
+        """Whether the check admits the grid with each memory size in
+        ``have``; a fake size allocates nothing."""
+        out = []
+        for nbytes in have:
+            self.fake_memory(monkeypatch, nbytes)
+            try:
+                engine._check_footprint(spec)
+                out.append(True)
+            except TooLarge:
+                out.append(False)
+        return out
+
+    def test_64_bit_labels_are_counted(self, monkeypatch):
+        # scipy labels grids of 2**31 - 2 cells or more with 64-bit ints
+        spec = GridSpec((2**16, 2**15), (True, True), (0.0, 0.0), (1.0, 1.0))
+        int32 = spec.size * engine.BITS_PER_CELL // 8
+        int64 = spec.size * (engine.BITS_PER_CELL + 32) // 8
+        have = [int32, (int32 + int64) // 2, int64 - 1, int64]
+        assert self.verdicts(monkeypatch, spec, have) == [False, False, False, True]
+
+    def test_int32_labels_below_the_threshold(self, monkeypatch):
+        for size in (2**31 - 3, 36**4):
+            spec = GridSpec((size,), (False,), (0.0,), (1.0,))
+            need = size * engine.BITS_PER_CELL // 8
+            assert self.verdicts(monkeypatch, spec, [need - 1, need]) == [False, True]
 
 
 class TestParallel:
