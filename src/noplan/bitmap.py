@@ -12,7 +12,6 @@ the binary dump format, so independently written readers agree bit-exactly.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -44,6 +43,8 @@ class GridSpec:
         for i, d in enumerate(dims):
             if d < 2:
                 raise ValidationError(f"axis {i}: need at least 2 cells, got {d}")
+            if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
+                raise ValidationError(f"axis {i}: bounds must be finite, got [{lo[i]}, {hi[i]}]")
             if not lo[i] < hi[i]:
                 raise ValidationError(f"axis {i}: lo must be < hi")
         object.__setattr__(self, "dims", dims)
@@ -127,23 +128,24 @@ def config_to_cell(spec: GridSpec, q) -> tuple:
     return tuple(multi)
 
 
-def neighbors(spec: GridSpec, multi) -> list:
-    """Moore neighborhood of a cell.
+def neighbors(spec: GridSpec, linear: int) -> list:
+    """Moore neighborhood of a cell, as linear indices.
 
     All offsets in {-1,0,+1}^n except all-zero, listed in lexicographic
     order of the offsets; wrapping axes apply modular arithmetic, offsets
     leaving a non-wrapping axis are dropped.
     """
-    choices = []
-    for m, d, wrap in zip(multi, spec.dims, spec.wrap):
+    multi = lin_to_multi(spec, linear)
+    offsets = [0]
+    for m, d, wrap, stride in zip(multi, spec.dims, spec.wrap, spec.strides()):
         if wrap:
-            choices.append(((m - 1) % d, m, (m + 1) % d))
+            coords = ((m - 1) % d, m, (m + 1) % d)
         else:
-            choices.append(tuple(v for v in (m - 1, m, m + 1) if 0 <= v < d))
-    center = tuple(multi)
+            coords = [v for v in (m - 1, m, m + 1) if 0 <= v < d]
+        offsets = [o + (v - m) * stride for o in offsets for v in coords]
     # Only the all-zero offset lands on the cell itself, as every axis has
-    # at least two cells.
-    return [cell for cell in itertools.product(*choices) if cell != center]
+    # at least two cells, and no other cell shares its index.
+    return [linear + o for o in offsets if o]
 
 
 @dataclass

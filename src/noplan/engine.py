@@ -124,22 +124,19 @@ def prove_infeasibility(
         raise ValidationError("segment_every must be at least 1")
     if threads < 1:
         raise ValidationError("threads must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    try:
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid seed {seed!r}: {exc}") from exc
     t0 = time.perf_counter()
 
     robot = scenario.robot
     spec = scenario.grid
     _check_footprint(spec)
     obstacles = scenario.prepared()
-    start_cell = config_to_cell(spec, scenario.start)
-    goal_cell = config_to_cell(spec, scenario.goal)
-    start_lin = multi_to_lin(spec, start_cell)
-    goal_lin = multi_to_lin(spec, goal_cell)
-
-    for label, q, cell in (
-        ("start", scenario.start, start_cell),
-        ("goal", scenario.goal, goal_cell),
-    ):
+    cells = {}  # linear index of the start and the goal cell
+    for label, q in (("start", scenario.start), ("goal", scenario.goal)):
+        cell = config_to_cell(spec, q)
         for probe in (tuple(q), cell_to_config(spec, cell)):
             if robot.collision_check(probe, obstacles).colliding:
                 return Verdict(
@@ -148,6 +145,7 @@ def prove_infeasibility(
                     elapsed=time.perf_counter() - t0,
                     detail=f"{label} configuration or its cell center collides",
                 )
+        cells[label] = multi_to_lin(spec, cell)
 
     bm = CSpaceBitmap(spec)
     ss = SampleSet(spec.size)
@@ -184,18 +182,18 @@ def prove_infeasibility(
             stats_list.append(st)
             exhausted = ss.size == 0
 
-            if not bm.is_free(start_lin) or not bm.is_free(goal_lin):
-                which = "start" if not bm.is_free(start_lin) else "goal"
-                return verdict(
-                    START_OR_GOAL_IN_OBSTACLE,
-                    f"{which} cell was proven to collide during sampling",
-                )
+            for label, lin in cells.items():
+                if not bm.is_free(lin):
+                    return verdict(
+                        START_OR_GOAL_IN_OBSTACLE,
+                        f"{label} cell was proven to collide during sampling",
+                    )
 
             if exhausted or iteration % segment_every == 0:
                 seg_t0 = time.perf_counter()
                 labels = segment(bm, connectivity)
                 seg_time += time.perf_counter() - seg_t0
-                if segment_check(labels, start_lin, goal_lin):
+                if segment_check(labels, cells["start"], cells["goal"]):
                     return verdict(
                         INFEASIBLE, "start and goal lie in different free components", labels
                     )

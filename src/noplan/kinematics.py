@@ -101,10 +101,10 @@ class Link:
     width: float
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValidationError("link length must be positive")
-        if not self.width > 0:
-            raise ValidationError("link width must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValidationError(f"link length must be positive and finite, got {self.length}")
+        if not 0 < self.width < math.inf:
+            raise ValidationError(f"link width must be positive and finite, got {self.width}")
 
 
 class SerialChain:
@@ -118,6 +118,8 @@ class SerialChain:
 
     def __init__(self, base: Point2, links, joint_limits=None):
         self.base = base if isinstance(base, Point2) else Point2(*base)
+        if not (math.isfinite(self.base.x) and math.isfinite(self.base.y)):
+            raise ValidationError(f"chain base must be finite, got {self.base}")
         built = []
         for spec in links:
             if isinstance(spec, Link):
@@ -140,8 +142,8 @@ class SerialChain:
                 lims.append(None)
             else:
                 lo, hi = float(lim[0]), float(lim[1])
-                if not lo < hi:
-                    raise ValidationError("joint limit lo must be < hi")
+                if not -math.inf < lo < hi < math.inf:
+                    raise ValidationError(f"joint limits must be finite with lo < hi, got {lim}")
                 lims.append((lo, hi))
         self.joint_limits = tuple(lims)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmap import CSpaceBitmap, GridSpec, cell_to_config, lin_to_multi, multi_to_lin, neighbors
+from .bitmap import CSpaceBitmap, GridSpec, cell_to_config, lin_to_multi, neighbors
 from .errors import Exhausted, OutOfRange, ValidationError
 from .kinematics import BaseInObstacle, ObstacleHit, SelfHit
 
@@ -179,30 +179,26 @@ class IterationStats:
     elapsed: float = 0.0
 
 
-def _slice_indices(spec: GridSpec, multi, fix_lo: int, fix_hi: int) -> np.ndarray:
-    """Linear indices of all cells agreeing with ``multi`` on axes
-    fix_lo..fix_hi (0-based, inclusive).
+def _slice(spec: GridSpec, linear: int, fix_lo: int, fix_hi: int) -> tuple:
+    """The cells agreeing with cell ``linear`` on axes fix_lo..fix_hi
+    (0-based, inclusive), as (inner, outer, fixed).
 
     First-axis-fastest linearization makes the free prefix axes one
-    contiguous range and the free suffix axes one arithmetic progression,
-    so the set is an outer sum of two ranges. The progression is the outer
-    loop, so the indices come out strictly increasing.
+    contiguous range of ``inner`` cells and the free suffix axes one
+    arithmetic progression of step ``outer``, so the cells are
+    ``fixed + k * outer + j`` for ``j < inner``.
     """
-    strides = spec.strides()
-    n = spec.ndim
-    fixed = 0
-    for axis in range(fix_lo, fix_hi + 1):
-        fixed += multi[axis] * strides[axis]
-    prefix_count = strides[fix_lo]
-    if fix_hi + 1 < n:
-        suffix_stride = strides[fix_hi + 1]
-        suffix_count = spec.size // suffix_stride
-    else:
-        suffix_stride = 1
-        suffix_count = 1
-    out = np.arange(fixed, fixed + suffix_stride * suffix_count, suffix_stride, dtype=np.int64)
-    if prefix_count > 1:
-        out = (out[:, None] + np.arange(prefix_count, dtype=np.int64)[None, :]).ravel()
+    s = (*spec.strides(), spec.size)
+    return s[fix_lo], s[fix_hi + 1], linear % s[fix_hi + 1] - linear % s[fix_lo]
+
+
+def _slice_indices(spec: GridSpec, linear: int, fix_lo: int, fix_hi: int) -> np.ndarray:
+    """Linear indices of the cells ``_slice`` describes, strictly increasing:
+    the progression is the outer loop."""
+    inner, outer, fixed = _slice(spec, linear, fix_lo, fix_hi)
+    out = np.arange(fixed, spec.size, outer, dtype=np.int64)
+    if inner > 1:
+        out = (out[:, None] + np.arange(inner, dtype=np.int64)[None, :]).ravel()
     return out
 
 
@@ -222,20 +218,18 @@ def _fixed_axes(robot, cause) -> tuple:
     raise ValidationError(f"unknown collision cause: {cause!r}")
 
 
-def cells_implied_by(robot, spec: GridSpec, multi, cause) -> np.ndarray:
+def cells_implied_by(robot, spec: GridSpec, linear: int, cause) -> np.ndarray:
     """Linear indices of every cell the collision cause proves colliding.
 
     Always includes the sampled cell itself.
     """
-    return _slice_indices(spec, multi, *_fixed_axes(robot, cause))
+    return _slice_indices(spec, linear, *_fixed_axes(robot, cause))
 
 
-def propagate(
-    bm: CSpaceBitmap, ss: SampleSet, robot, multi, cause
-) -> int:
+def propagate(bm: CSpaceBitmap, ss: SampleSet, robot, linear: int, cause) -> int:
     """Mark every cell implied by a collision cause; returns how many were
     newly marked (cells already visited or already marked do not count)."""
-    implied = cells_implied_by(robot, bm.spec, multi, cause)
+    implied = cells_implied_by(robot, bm.spec, linear, cause)
     removed = ss.remove_bulk(implied)
     if removed.size:
         bm.set_obstacle_bulk(removed)
@@ -248,9 +242,9 @@ def propagate(
 CELLS_PER_WORKER = 256
 
 
-def _check_cell(robot, obstacles, spec: GridSpec, multi) -> object:
+def _check_cell(robot, obstacles, spec: GridSpec, linear: int) -> object:
     """Collision cause at a cell's center (None = free)."""
-    return robot.collision_check(cell_to_config(spec, multi), obstacles).cause
+    return robot.collision_check(cell_to_config(spec, lin_to_multi(spec, linear)), obstacles).cause
 
 
 _WORKER_STATE: dict = {}
@@ -261,10 +255,7 @@ def _init_worker(robot, obstacles, spec):
 
 
 def _check_chunk(lins):
-    robot = _WORKER_STATE["robot"]
-    obstacles = _WORKER_STATE["obstacles"]
-    spec = _WORKER_STATE["spec"]
-    return [_check_cell(robot, obstacles, spec, lin_to_multi(spec, int(lin))) for lin in lins]
+    return [_check_cell(**_WORKER_STATE, linear=int(lin)) for lin in lins]
 
 
 class CheckPool:
@@ -294,22 +285,22 @@ class CheckPool:
         self._pool.join()
 
 
-def _covered_hits(robot, hits) -> set:
-    """Positions in ``hits``, a batch's (linear index, grid index, cause) in
-    order, of the hits that lie in the slice of an earlier propagated hit.
+def _covered_hits(robot, spec: GridSpec, hits) -> set:
+    """Positions in ``hits``, a batch's (linear index, cause) in order, of
+    the hits that lie in the slice of an earlier propagated hit.
 
     A hit is propagated when no earlier propagated hit covers it.
     """
     covered = set()
-    slices = set()  # (first axis, last axis, fixed coordinates) per slice
-    spans = set()  # the distinct (first axis, last axis) among them
-    for i, (_, multi, cause) in enumerate(hits):
-        if any((lo, hi, multi[lo : hi + 1]) in slices for lo, hi in spans):
+    slices = set()  # (inner, outer, fixed) per slice, as _slice gives it
+    spans = set()  # the distinct (inner, outer) among them
+    for i, (lin, cause) in enumerate(hits):
+        if any((inner, outer, lin % outer - lin % inner) in slices for inner, outer in spans):
             covered.add(i)
             continue
-        lo, hi = _fixed_axes(robot, cause)
-        spans.add((lo, hi))
-        slices.add((lo, hi, multi[lo : hi + 1]))
+        key = _slice(spec, lin, *_fixed_axes(robot, cause))
+        spans.add(key[:2])
+        slices.add(key)
     return covered
 
 
@@ -357,29 +348,25 @@ def sample_obstacle_cells(
     def next_batch(cells) -> tuple:
         """Check the next batch from an iterator of unvisited cells; returns
         how many were checked and the hits in order, as (linear index,
-        grid index, cause)."""
+        cause)."""
         lins = list(itertools.islice(cells, batch_size))
         if pool is None:
-            causes = [_check_cell(robot, obstacles, spec, lin_to_multi(spec, lin)) for lin in lins]
+            causes = [_check_cell(robot, obstacles, spec, lin) for lin in lins]
         else:
             causes = pool.check(lins)
-        return len(lins), [
-            (lin, lin_to_multi(spec, lin), cause)
-            for lin, cause in zip(lins, causes)
-            if cause is not None
-        ]
+        return len(lins), [(lin, cause) for lin, cause in zip(lins, causes) if cause is not None]
 
     def apply(hits) -> list:
         """Mark the hits and propagate those no earlier slice of the batch
-        covers; returns the grid indices of those propagated."""
+        covers; returns the linear indices of those propagated."""
         propagated = []
-        covered = _covered_hits(robot, hits)
-        for i, (lin, multi, cause) in enumerate(hits):
+        covered = _covered_hits(robot, spec, hits)
+        for i, (lin, cause) in enumerate(hits):
             bm.set_obstacle(lin)
             if i in covered:
                 continue
-            stats.propagated += propagate(bm, ss, robot, multi, cause)
-            propagated.append(multi)
+            stats.propagated += propagate(bm, ss, robot, lin, cause)
+            propagated.append(lin)
         return propagated
 
     drawn = draws()
@@ -391,13 +378,13 @@ def sample_obstacle_cells(
         fresh = apply(hits)
         stats.hits += len(fresh)
         candidates = []
-        for multi in fresh:
-            moore = neighbors(spec, multi)
+        for lin in fresh:
+            moore = neighbors(spec, lin)
             take = min(params.neighbor_checks, len(moore))
             if take == 0:
                 continue
             for p in rng.choice(len(moore), size=take, replace=False):
-                candidates.append(multi_to_lin(spec, moore[int(p)]))
+                candidates.append(moore[int(p)])
         probes = (lin for lin in candidates if ss.remove(lin))
         while True:
             checked, hits = next_batch(probes)

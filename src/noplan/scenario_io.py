@@ -101,7 +101,12 @@ def suggest_resolution(robot: SerialChain, delta: float) -> list:
     dims = []
     for lim in robot.joint_limits:
         span = TWO_PI if lim is None else lim[1] - lim[0]
-        dims.append(max(2, math.ceil(span / theta)))
+        cells = span / theta if theta else math.inf
+        if not math.isfinite(cells):
+            raise InvalidDelta(
+                f"delta {delta!r} at reach {robot.reach()} gives no finite cell count"
+            )
+        dims.append(max(2, math.ceil(cells)))
     return dims
 
 

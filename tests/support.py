@@ -6,8 +6,10 @@ import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from noplan import (
+    GridSpec,
     PreparedObstacles,
     Polygon2,
     RigidSE2,
@@ -22,6 +24,16 @@ from noplan import (
 from noplan.oracle import bfs_connected, brute_force_bitmap
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@st.composite
+def grid_and_cell(draw):
+    """A grid of 1-5 axes with 2-6 cells each and random wrap flags, and
+    the linear index of one of its cells."""
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=5)))
+    wrap = tuple(draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims))))
+    spec = GridSpec(dims, wrap, (0.0,) * len(dims), (1.0,) * len(dims))
+    return spec, draw(st.integers(0, spec.size - 1))
 
 
 def square(cx: float, cy: float, h: float) -> Polygon2:

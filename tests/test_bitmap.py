@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from noplan.bitmap import (
     CSpaceBitmap,
@@ -14,6 +16,8 @@ from noplan.bitmap import (
     neighbors,
 )
 from noplan.errors import IncompatibleGrids, OutOfBounds, OutOfRange, ValidationError
+
+from support import grid_and_cell
 
 
 def grid(dims, wrap=None, lo=None, hi=None):
@@ -32,6 +36,11 @@ class TestGridSpec:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValidationError):
             GridSpec((3,), (False,), (1.0,), (0.0,))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_rejects_non_finite_bounds(self, lo, hi):
+        with pytest.raises(ValidationError):
+            GridSpec((3,), (False,), (lo,), (hi,))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -99,36 +108,61 @@ class TestCellConfigMapping:
             config_to_cell(g, (1.5,))
 
 
+def moore(spec, multi) -> list:
+    """Grid indices of the Moore neighbors of the cell at ``multi``."""
+    return [lin_to_multi(spec, n) for n in neighbors(spec, multi_to_lin(spec, multi))]
+
+
 class TestNeighbors:
     def test_interior_cell(self):
         g = grid([10, 10])
-        assert len(neighbors(g, (5, 5))) == 8
+        assert len(moore(g, (5, 5))) == 8
 
     def test_corner_no_wrap(self):
         g = grid([10, 10])
-        assert len(neighbors(g, (0, 0))) == 3
+        assert len(moore(g, (0, 0))) == 3
 
     def test_corner_torus(self):
         g = grid([10, 10], wrap=[True, True])
-        nbrs = neighbors(g, (0, 0))
+        nbrs = moore(g, (0, 0))
         assert len(nbrs) == 8
         assert (9, 9) in nbrs
 
     def test_mixed_wrap(self):
         g = grid([10, 10], wrap=[True, False])
-        nbrs = neighbors(g, (0, 0))
+        nbrs = moore(g, (0, 0))
         assert len(nbrs) == 5
         assert (9, 1) in nbrs
 
     def test_3d_interior_count(self):
         g = grid([5, 5, 5])
-        assert len(neighbors(g, (2, 2, 2))) == 26
+        assert len(moore(g, (2, 2, 2))) == 26
 
     def test_listed_in_offset_order(self):
         # The sampler picks neighbors by position in this list, so the order
         # is part of a seed's reproducibility.
         g = grid([4, 4], wrap=[True, False])
-        assert neighbors(g, (0, 3)) == [(3, 2), (3, 3), (0, 2), (1, 2), (1, 3)]
+        assert moore(g, (0, 3)) == [(3, 2), (3, 3), (0, 2), (1, 2), (1, 3)]
+
+
+def tuple_neighbors(spec, multi) -> list:
+    """Moore neighbors as grid tuples, in offset order, by direct
+    construction."""
+    choices = []
+    for m, d, wrap in zip(multi, spec.dims, spec.wrap):
+        if wrap:
+            choices.append(((m - 1) % d, m, (m + 1) % d))
+        else:
+            choices.append(tuple(v for v in (m - 1, m, m + 1) if 0 <= v < d))
+    return [cell for cell in itertools.product(*choices) if cell != tuple(multi)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_and_cell())
+def test_neighbors_match_tuple_construction(case):
+    spec, lin = case
+    want = [multi_to_lin(spec, cell) for cell in tuple_neighbors(spec, lin_to_multi(spec, lin))]
+    assert neighbors(spec, lin) == want
 
 
 class TestBitmap:

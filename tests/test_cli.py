@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,31 +159,42 @@ class TestProve:
         assert json.loads(proc.stdout)["error"] == "TooLarge"
         assert proc.stderr == ""
 
-    @pytest.mark.parametrize("old, new", [
-        pytest.param("dims: [36, 36]", "dims: [36, abc]", id="dims-text"),
-        pytest.param("dims: [36, 36]", "dims: [36, .nan]", id="dims-nan"),
-        pytest.param("dims: [36, 36]", "dims: 7", id="dims-scalar"),
-        pytest.param("start: [200 deg, 0.0]", "start: 5", id="start-scalar"),
-        pytest.param("start: [200 deg, 0.0]", "start: [nan, 0.0]", id="start-nan"),
-        pytest.param("goal: [15 deg, 0.0]", "goal: [0.1, .inf]", id="goal-inf"),
-        pytest.param("{length: 1.0, width: 0.02}", "{length: abc, width: 0.02}",
+    @pytest.mark.parametrize("path, old, new", [
+        pytest.param(THREE_BANDS, "dims: [36, 36]", "dims: [36, abc]", id="dims-text"),
+        pytest.param(THREE_BANDS, "dims: [36, 36]", "dims: [36, .nan]", id="dims-nan"),
+        pytest.param(THREE_BANDS, "dims: [36, 36]", "dims: 7", id="dims-scalar"),
+        pytest.param(THREE_BANDS, "start: [200 deg, 0.0]", "start: 5", id="start-scalar"),
+        pytest.param(THREE_BANDS, "start: [200 deg, 0.0]", "start: [nan, 0.0]", id="start-nan"),
+        pytest.param(THREE_BANDS, "goal: [15 deg, 0.0]", "goal: [0.1, .inf]", id="goal-inf"),
+        pytest.param(THREE_BANDS, "{length: 1.0, width: 0.02}", "{length: abc, width: 0.02}",
                      id="length-text"),
-        pytest.param("{length: 1.0, width: 0.02}", "{length: 1.0, width: [1]}",
+        pytest.param(THREE_BANDS, "{length: 1.0, width: 0.02}", "{length: 1.0, width: [1]}",
                      id="width-list"),
+        pytest.param(THREE_BANDS, "{length: 1.0, width: 0.02}", "{length: .inf, width: 0.02}",
+                     id="length-inf"),
+        pytest.param(THREE_BANDS, "{length: 1.0, width: 0.02}", "{length: 1.0, width: .inf}",
+                     id="width-inf"),
+        pytest.param(THREE_BANDS, "base: [0.0, 0.0]", "base: [.inf, 0.0]", id="base-inf"),
+        pytest.param(THREE_BANDS, "base: [0.0, 0.0]",
+                     "base: [0.0, 0.0]\n  joint_limits: [null, [0.0, .inf]]", id="limit-inf"),
+        pytest.param(THREE_BANDS, "dims: [36, 36]", "delta: 1.0e-320", id="delta-overflows"),
+        pytest.param(RIGID_WALL, "workspace: [[0.0, 6.7], [0.0, 3.9]]",
+                     "workspace: [[0.0, .inf], [0.0, 3.9]]", id="workspace-inf"),
     ])
-    def test_malformed_scenario_fails_with_json_error(self, tmp_path, old, new):
-        # A field of the wrong type or a coordinate that is not finite is
-        # bad input: a JSON error and exit 1, never a traceback.
-        text = (SCENARIO_DIR / "two_link_three_bands.yaml").read_text()
+    def test_malformed_scenario_fails_with_json_error(self, tmp_path, path, old, new):
+        # A field of the wrong type or a number that is not finite is bad
+        # input: a JSON error and exit 1, never a traceback or a verdict.
+        text = Path(path).read_text()
         assert old in text
-        path = tmp_path / "malformed.yaml"
-        path.write_text(text.replace(old, new, 1))
+        bad = tmp_path / "malformed.yaml"
+        bad.write_text(text.replace(old, new, 1))
         proc = subprocess.run(
-            [sys.executable, "-m", "noplan.cli", "prove", str(path)],
+            [sys.executable, "-m", "noplan.cli", "prove", str(bad), "--seed", "0"],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == EXIT_ERROR
-        assert json.loads(proc.stdout)["error"] in ("ParseError", "ValidationError")
+        error = json.loads(proc.stdout)["error"]
+        assert error in ("ParseError", "ValidationError", "InvalidDelta")
         assert proc.stderr == ""
 
     def test_connectivity_flag_accepted(self, capsys):
@@ -321,6 +333,8 @@ class TestEntryPoint:
         pytest.param(["prove"], id="missing-scenario"),
         pytest.param(["bench", THREE_BANDS, "--trials", "0"], id="zero-trials"),
         pytest.param(["bench", THREE_BANDS, "--export-bitmap", "x.bin"], id="bench-export"),
+        pytest.param(["prove", THREE_BANDS, "--seed", "-1"], id="prove-negative-seed"),
+        pytest.param(["bench", THREE_BANDS, "--seed", "-1"], id="bench-negative-seed"),
     ])
     def test_usage_error_is_json_error(self, capsys, argv):
         # argparse exits 2 on a usage error, the code of a feasible verdict

@@ -60,6 +60,12 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             SerialChain(Point2(0, 0), [1.0], joint_limits=[(1.0, -1.0)])
 
+    @pytest.mark.parametrize("lim", [(0.0, math.inf), (-math.inf, 0.0)])
+    def test_rejects_infinite_limits(self, lim):
+        # With a delta grid the limit's span sets a cell count.
+        with pytest.raises(ValidationError):
+            SerialChain(Point2(0, 0), [1.0], joint_limits=[lim])
+
     def test_reach_sums_lengths(self):
         chain = SerialChain(Point2(0, 0), [0.4, 0.3, 0.2])
         assert chain.reach() == pytest.approx(0.9)

@@ -20,13 +20,14 @@ from noplan.sampler import (
     SamplerParams,
     SampleSet,
     _covered_hits,
+    _fixed_axes,
     _slice_indices,
     cells_implied_by,
     propagate,
     sample_obstacle_cells,
 )
 
-from support import square, three_band_scene
+from support import grid_and_cell, square, three_band_scene
 
 
 def torus(dims):
@@ -202,7 +203,9 @@ class TestCausePropagation:
 
     def test_first_link_hit_frees_all_later_axes(self):
         spec = torus([36, 36, 36, 36])
-        got = cells_implied_by(self.chain4, spec, (5, 7, 11, 13), ObstacleHit(1, 0))
+        got = cells_implied_by(
+            self.chain4, spec, multi_to_lin(spec, (5, 7, 11, 13)), ObstacleHit(1, 0)
+        )
         assert got.size == 46656
         sample = [lin_to_multi(spec, int(x)) for x in got[:: 4000]]
         assert all(m[0] == 5 for m in sample)
@@ -210,35 +213,37 @@ class TestCausePropagation:
     def test_obstacle_hit_matches_enumeration(self):
         spec = torus([5, 4, 3, 2])
         multi = (2, 1, 0, 1)
+        lin = multi_to_lin(spec, multi)
         for link in (1, 2, 3, 4):
-            got = cells_implied_by(self.chain4, spec, multi, ObstacleHit(link, 0))
+            got = cells_implied_by(self.chain4, spec, lin, ObstacleHit(link, 0))
             assert sorted(got.tolist()) == agreement_oracle(spec, multi, 0, link - 1)
 
     def test_self_hit_matches_enumeration(self):
         spec = torus([5, 4, 3, 2])
         multi = (3, 2, 1, 0)
         for a, b in [(1, 3), (1, 4), (2, 4)]:
-            got = cells_implied_by(self.chain4, spec, multi, SelfHit(a, b))
+            got = cells_implied_by(self.chain4, spec, multi_to_lin(spec, multi), SelfHit(a, b))
             assert sorted(got.tolist()) == agreement_oracle(spec, multi, a - 1, b - 1)
 
     def test_slices_come_out_strictly_increasing(self):
         spec = torus([5, 4, 3, 2])
         for lo, hi in [(0, 0), (0, 3), (1, 2), (1, 3), (2, 2), (3, 3)]:
-            got = _slice_indices(spec, (3, 2, 1, 0), lo, hi)
+            got = _slice_indices(spec, multi_to_lin(spec, (3, 2, 1, 0)), lo, hi)
             assert (np.diff(got) > 0).all()
             assert got.tolist() == agreement_oracle(spec, (3, 2, 1, 0), lo, hi)
 
     def test_last_link_hit_implies_only_the_cell(self):
         spec = torus([5, 4, 3, 2])
-        got = cells_implied_by(self.chain4, spec, (1, 2, 2, 1), ObstacleHit(4, 0))
-        assert got.tolist() == [multi_to_lin(spec, (1, 2, 2, 1))]
+        lin = multi_to_lin(spec, (1, 2, 2, 1))
+        got = cells_implied_by(self.chain4, spec, lin, ObstacleHit(4, 0))
+        assert got.tolist() == [lin]
 
     def test_rigid_contact_implies_only_the_cell(self):
         robot = RigidSE2(square(0, 0, 0.5), (0, 0))
         spec = GridSpec(
             (6, 5, 8), (False, False, True), (0.0, 0.0, 0.0), (6.0, 5.0, TWO_PI)
         )
-        got = cells_implied_by(robot, spec, (2, 3, 4), ObstacleHit(1, 0))
+        got = cells_implied_by(robot, spec, multi_to_lin(spec, (2, 3, 4)), ObstacleHit(1, 0))
         assert got.tolist() == [multi_to_lin(spec, (2, 3, 4))]
 
     def test_buried_reference_sweeps_rotation(self):
@@ -246,30 +251,32 @@ class TestCausePropagation:
         spec = GridSpec(
             (6, 5, 8), (False, False, True), (0.0, 0.0, 0.0), (6.0, 5.0, TWO_PI)
         )
-        got = cells_implied_by(robot, spec, (2, 3, 4), BaseInObstacle(0))
+        got = cells_implied_by(robot, spec, multi_to_lin(spec, (2, 3, 4)), BaseInObstacle(0))
         assert sorted(got.tolist()) == agreement_oracle(spec, (2, 3, 4), 0, 1)
         assert got.size == 8
 
     def test_hits_in_an_earlier_slice_of_the_batch_are_covered(self):
+        spec = torus([5, 4, 3, 2])
         hits = [
-            (None, (1, 2, 0, 0), ObstacleHit(2, 0)),  # slice: axes 0-1 fixed
-            (None, (1, 2, 2, 1), ObstacleHit(1, 0)),  # inside it despite a wider cause
-            (None, (1, 3, 0, 0), ObstacleHit(3, 0)),  # outside: axis 1 differs
-            (None, (1, 3, 0, 1), SelfHit(2, 3)),  # inside the previous slice
-            (None, (4, 3, 0, 1), ObstacleHit(4, 0)),  # inside the covered hit's slice only
+            ((1, 2, 0, 0), ObstacleHit(2, 0)),  # slice: axes 0-1 fixed
+            ((1, 2, 2, 1), ObstacleHit(1, 0)),  # inside it despite a wider cause
+            ((1, 3, 0, 0), ObstacleHit(3, 0)),  # outside: axis 1 differs
+            ((1, 3, 0, 1), SelfHit(2, 3)),  # inside the previous slice
+            ((4, 3, 0, 1), ObstacleHit(4, 0)),  # inside the covered hit's slice only
         ]
-        assert _covered_hits(self.chain4, hits) == {1, 3}
+        hits = [(multi_to_lin(spec, multi), cause) for multi, cause in hits]
+        assert _covered_hits(self.chain4, spec, hits) == {1, 3}
 
     def test_propagate_marks_and_depletes(self):
         spec = torus([6, 6, 6])
         chain = SerialChain((0, 0), [0.5, 0.3, 0.2])
         bm = CSpaceBitmap(spec)
         ss = SampleSet(spec.size)
-        count = propagate(bm, ss, chain, (2, 3, 4), ObstacleHit(2, 0))
+        count = propagate(bm, ss, chain, multi_to_lin(spec, (2, 3, 4)), ObstacleHit(2, 0))
         assert count == 6
         assert bm.free_count() == spec.size - 6
         assert len(ss) == spec.size - 6
-        assert propagate(bm, ss, chain, (2, 3, 4), ObstacleHit(2, 0)) == 0
+        assert propagate(bm, ss, chain, multi_to_lin(spec, (2, 3, 4)), ObstacleHit(2, 0)) == 0
 
     def test_propagate_skips_already_visited(self):
         spec = torus([6, 6, 6])
@@ -278,9 +285,58 @@ class TestCausePropagation:
         ss = SampleSet(spec.size)
         stale = multi_to_lin(spec, (2, 3, 0))
         ss.remove(stale)
-        count = propagate(bm, ss, chain, (2, 3, 4), ObstacleHit(2, 0))
+        count = propagate(bm, ss, chain, multi_to_lin(spec, (2, 3, 4)), ObstacleHit(2, 0))
         assert count == 5
         assert bm.is_free(stale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_and_cell())
+def test_slices_match_enumeration_on_random_grids(case):
+    spec, lin = case
+    multi = lin_to_multi(spec, lin)
+    for lo in range(spec.ndim):
+        for hi in range(lo, spec.ndim):
+            got = _slice_indices(spec, lin, lo, hi)
+            assert got.tolist() == agreement_oracle(spec, multi, lo, hi)
+
+
+def covered_by_tuple_slices(robot, spec, hits) -> set:
+    """``_covered_hits`` with each slice keyed by its fixed axes and the
+    grid coordinates on them."""
+    covered = set()
+    slices = set()
+    spans = set()
+    for i, (lin, cause) in enumerate(hits):
+        multi = lin_to_multi(spec, lin)
+        if any((lo, hi, multi[lo : hi + 1]) in slices for lo, hi in spans):
+            covered.add(i)
+            continue
+        lo, hi = _fixed_axes(robot, cause)
+        spans.add((lo, hi))
+        slices.add((lo, hi, multi[lo : hi + 1]))
+    return covered
+
+
+@st.composite
+def hit_batches(draw):
+    """A chain with one link per axis of a random grid, and a batch of hits
+    on that grid with obstacle and self-collision causes."""
+    spec, _ = draw(grid_and_cell())
+    n = spec.ndim
+    link = st.integers(1, n)
+    obstacle = st.builds(ObstacleHit, link, st.just(0))
+    self_hit = st.tuples(link, link).filter(lambda p: p[0] < p[1]).map(lambda p: SelfHit(*p))
+    cause = st.one_of(obstacle, self_hit) if n > 1 else obstacle
+    hit = st.tuples(st.integers(0, spec.size - 1), cause)
+    return SerialChain((0, 0), [1.0] * n), spec, draw(st.lists(hit, max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hit_batches())
+def test_covered_hits_match_tuple_slices(case):
+    robot, spec, hits = case
+    assert _covered_hits(robot, spec, hits) == covered_by_tuple_slices(robot, spec, hits)
 
 
 def all_hit_scene():

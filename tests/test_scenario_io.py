@@ -105,9 +105,15 @@ class TestResolutionRule:
 
     def test_bad_delta_rejected(self):
         chain = SerialChain((0, 0), [1.0])
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        for bad in (0.0, -1.0, math.inf, math.nan, 1e-320):
             with pytest.raises(InvalidDelta):
                 suggest_resolution(chain, bad)
+
+    def test_overflowing_reach_rejected(self):
+        # Each length is finite, their sum is not.
+        chain = SerialChain((0, 0), [1e308, 1e308])
+        with pytest.raises(InvalidDelta):
+            suggest_resolution(chain, 0.1)
 
     def test_min_obstacle_edge(self):
         polys = [square(0, 0, 0.5), square(3, 3, 0.2)]
