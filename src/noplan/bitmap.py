@@ -133,13 +133,14 @@ def neighbors(spec: GridSpec, linear: int) -> list:
 
     All offsets in {-1,0,+1}^n except all-zero, listed in lexicographic
     order of the offsets; wrapping axes apply modular arithmetic, offsets
-    leaving a non-wrapping axis are dropped.
+    leaving a non-wrapping axis are dropped. On a wrapping axis of 2 cells
+    the offsets -1 and +1 reach one cell, listed once, at -1.
     """
     multi = lin_to_multi(spec, linear)
     offsets = [0]
     for m, d, wrap, stride in zip(multi, spec.dims, spec.wrap, spec.strides()):
         if wrap:
-            coords = ((m - 1) % d, m, (m + 1) % d)
+            coords = ((m - 1) % d, m) if d == 2 else ((m - 1) % d, m, (m + 1) % d)
         else:
             coords = [v for v in (m - 1, m, m + 1) if 0 <= v < d]
         offsets = [o + (v - m) * stride for o in offsets for v in coords]

@@ -24,7 +24,7 @@ from .sampler import (
     sample_obstacle_cells,
     sample_obstacle_cells_parallel,
 )
-from .segmentation import LabelField, segment, segment_check
+from .segmentation import LabelField, project, segment, segment_check
 
 # Bits a proof holds per cell at its peak. Peak RSS of four_link_bands
 # chain proofs grows by at most 45.6 bits per cell between two grid sizes
@@ -61,6 +61,7 @@ class Verdict:
             "elapsed_seconds": round(self.elapsed, 6),
             "segmentation_seconds": round(self.segmentation_time, 6),
             "component_count": self.component_count,
+            "separating_axes": None if self.labels is None else self.labels.spec.ndim,
             "bitmap_sha256": self.digest,
             "detail": self.detail,
             "grid": None
@@ -191,9 +192,14 @@ def prove_infeasibility(
 
             if exhausted or iteration % segment_every == 0:
                 seg_t0 = time.perf_counter()
-                labels = segment(bm, connectivity)
+                # apart on the leading axes is apart in the whole grid
+                for k in range(1, spec.ndim + 1):
+                    labels = segment(bm if k == spec.ndim else project(bm, k), connectivity)
+                    apart = segment_check(labels, cells["start"], cells["goal"])
+                    if apart:
+                        break
                 seg_time += time.perf_counter() - seg_t0
-                if segment_check(labels, cells["start"], cells["goal"]):
+                if apart:
                     return verdict(
                         INFEASIBLE, "start and goal lie in different free components", labels
                     )

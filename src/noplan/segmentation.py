@@ -14,11 +14,16 @@ pairs outlive it. Each joined group keeps its least raw label. The cells
 keep their raw labels and are read through a table from raw label to
 component id, so no second scan rewrites them as in two-scan labelling
 (He, Chao & Suzuki, IEEE TIP 17(5), 2008).
+
+``project`` keeps the prefixes on the first k axes that some free cell
+has. A face or Moore step projects to a step of the same kind or to none,
+so start and goal apart in a projection are apart in the whole grid.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +41,9 @@ CONNECTIVITIES = ("faces", "moore")
 class LabelField:
     """Per-cell component ids, 0 marking obstacle cells: ``raw`` holds the
     raw label of each cell, linear-indexed, and ``table`` maps a raw label
-    to its component id (``table[0] == 0``)."""
+    to its component id (``table[0] == 0``). As linear indices run
+    first-axis-fastest, ``label_of`` reads a cell of a grid ``project``ed
+    onto this field's axes at its prefix, the index modulo the cell count."""
 
     spec: GridSpec
     raw: np.ndarray
@@ -44,7 +51,7 @@ class LabelField:
     component_count: int
 
     def label_of(self, linear: int) -> int:
-        return int(self.table[self.raw[linear]])
+        return int(self.table[self.raw[linear % self.raw.size]])
 
     def to_dense(self) -> np.ndarray:
         return self.table[self.raw].reshape(self.spec.dims, order="F")
@@ -100,6 +107,23 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if np.array_equal(new, root):
             return root
         root = new
+
+
+def project(bm: CSpaceBitmap, k: int) -> CSpaceBitmap:
+    """The free prefixes of ``bm`` on its first ``k`` axes: an OR over
+    rows of packed bits, whole bytes holding whole prefixes, so only one
+    row is unpacked. Rows of 4096 bits or more keep numpy's loop long. Like
+    the tail bits past the grid, the zero bytes padding the last row mark
+    no prefix free."""
+    spec = bm.spec
+    sub = GridSpec(spec.dims[:k], spec.wrap[:k], spec.lo[:k], spec.hi[:k])
+    row = math.lcm(sub.size, 8)
+    row *= max(1, 4096 // row)
+    rows = -(-bm.bits.size * 8 // row)
+    bits = np.pad(bm.bits, (0, rows * row // 8 - bm.bits.size))
+    folded = np.bitwise_or.reduce(bits.reshape(rows, -1), axis=0)
+    free = np.unpackbits(folded, bitorder="little").reshape(-1, sub.size).any(axis=0)
+    return CSpaceBitmap(sub, np.packbits(free, bitorder="little"))
 
 
 def segment(bm: CSpaceBitmap, connectivity: str = "faces") -> LabelField:

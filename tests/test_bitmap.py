@@ -144,14 +144,18 @@ class TestNeighbors:
         g = grid([4, 4], wrap=[True, False])
         assert moore(g, (0, 3)) == [(3, 2), (3, 3), (0, 2), (1, 2), (1, 3)]
 
+    def test_two_cell_torus_lists_each_cell_once(self):
+        g = grid([2, 2], wrap=[True, True])
+        assert neighbors(g, 0) == [3, 1, 2]
+
 
 def tuple_neighbors(spec, multi) -> list:
     """Moore neighbors as grid tuples, in offset order, by direct
-    construction."""
+    construction; a cell two offsets reach is listed at the first."""
     choices = []
     for m, d, wrap in zip(multi, spec.dims, spec.wrap):
         if wrap:
-            choices.append(((m - 1) % d, m, (m + 1) % d))
+            choices.append(tuple(dict.fromkeys(((m - 1) % d, m, (m + 1) % d))))
         else:
             choices.append(tuple(v for v in (m - 1, m, m + 1) if 0 <= v < d))
     return [cell for cell in itertools.product(*choices) if cell != tuple(multi)]
@@ -163,6 +167,15 @@ def test_neighbors_match_tuple_construction(case):
     spec, lin = case
     want = [multi_to_lin(spec, cell) for cell in tuple_neighbors(spec, lin_to_multi(spec, lin))]
     assert neighbors(spec, lin) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_and_cell())
+def test_neighbors_never_repeat_a_cell(case):
+    spec, lin = case
+    nbrs = neighbors(spec, lin)
+    assert len(set(nbrs)) == len(nbrs)
+    assert lin not in nbrs
 
 
 class TestBitmap:

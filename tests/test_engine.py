@@ -16,10 +16,11 @@ from noplan.engine import (
 from noplan.errors import EngineTimeout, TooLarge, ValidationError
 from noplan.oracle import bfs_connected, brute_force_bitmap
 from noplan.sampler import IterationStats, SampleSet, SamplerParams
-from noplan.scenario_io import Scenario, chain_grid
+from noplan.scenario_io import Scenario, chain_grid, load_scenario
 from noplan.kinematics import SerialChain
+from noplan.segmentation import segment, segment_check
 
-from support import confirm_with_oracle, empty_scene, square, three_band_scene
+from support import SCENARIO_DIR, confirm_with_oracle, empty_scene, square, three_band_scene
 
 
 class TestVerdicts:
@@ -104,6 +105,38 @@ class TestVerdicts:
         verdict = prove_infeasibility(gap, SamplerParams(30, 4), seed=3)
         assert verdict.kind == FEASIBLE_AT_RESOLUTION
         confirm_with_oracle(gap, verdict)
+
+
+# The bundled scenes small enough to label whole; five_link_walled runs
+# truncated to 3 links, as it is meant to.
+SMALL_SCENES = [
+    ("two_link_three_bands.yaml", None),
+    ("two_link_single_block.yaml", None),
+    ("four_link_bands.yaml", None),
+    ("rigid_body_wall.yaml", None),
+    ("five_link_walled.yaml", 3),
+]
+
+
+@pytest.mark.parametrize("connectivity", ["faces", "moore"])
+@pytest.mark.parametrize("name, links", SMALL_SCENES)
+def test_whole_grid_confirms_each_separation(name, links, connectivity):
+    # A verdict may carry the labels of a projection onto the leading
+    # axes; labelling its whole bitmap must separate start and goal too.
+    sc = load_scenario(SCENARIO_DIR / name)
+    if links is not None:
+        sc = sc.truncate(links)
+    spec = sc.grid
+    start, goal = (multi_to_lin(spec, config_to_cell(spec, q)) for q in (sc.start, sc.goal))
+    for seed in range(3):
+        verdict = prove_infeasibility(sc, seed=seed, connectivity=connectivity)
+        axes = verdict.to_dict()["separating_axes"]
+        assert axes == verdict.labels.spec.ndim
+        assert verdict.labels.spec.dims == spec.dims[:axes]
+        if verdict.kind == INFEASIBLE:
+            assert segment_check(segment(verdict.bitmap, connectivity), start, goal)
+        else:
+            assert axes == spec.ndim
 
 
 class TestLoopBehavior:
@@ -247,3 +280,4 @@ class TestVerdictSerialization:
         data = json.loads(verdict.to_json())
         assert data["grid"] is None
         assert data["component_count"] is None
+        assert data["separating_axes"] is None

@@ -262,6 +262,8 @@ class TestRoundTrip:
             "rigid_body_wall.yaml",
             "five_link_walled.yaml",
             "two_link_single_block.yaml",
+            "six_link_bands.yaml",
+            "seven_link_bands.yaml",
         ]
         for name in names:
             sc = load_scenario(SCENARIO_DIR / name)

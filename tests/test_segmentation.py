@@ -12,7 +12,7 @@ from noplan import segmentation
 from noplan.bitmap import CSpaceBitmap, GridSpec, multi_to_lin
 from noplan.errors import StartOrGoalInObstacle, ValidationError
 from noplan.oracle import flood_fill_labels
-from noplan.segmentation import CONNECTIVITIES, LabelField, segment, segment_check
+from noplan.segmentation import CONNECTIVITIES, LabelField, project, segment, segment_check
 
 
 def bitmap_from(dense, wrap=None):
@@ -246,6 +246,39 @@ def test_batched_joins_match_union_find(data):
         ra, rb = find(a), find(b)
         parent[max(ra, rb)] = min(ra, rb)
     assert root.tolist() == [find(x) for x in range(count + 1)]
+
+
+@st.composite
+def random_bitmap(draw):
+    """A bitmap of 1-5 axes with 2-6 cells each, random wrap flags and a
+    random share of free cells."""
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=5)))
+    wrap = tuple(draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return bitmap_from(rng.random(dims) < draw(st.floats(0.05, 1.0)), wrap=wrap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_bitmap(), st.sampled_from(CONNECTIVITIES))
+def test_projection_separates_only_what_the_grid_separates(bm, connectivity):
+    # Each free cell's prefix is free in every projection, and all cells of
+    # one full-grid component share one projection label, read through
+    # label_of at the cells' full linear indices.
+    spec = bm.spec
+    dense = bm.to_dense()
+    full = segment(bm, connectivity).to_dense().reshape(-1, order="F")
+    free = np.flatnonzero(full)
+    for k in range(1, spec.ndim + 1):
+        proj = project(bm, k)
+        assert proj.spec.dims == spec.dims[:k] and proj.spec.wrap == spec.wrap[:k]
+        assert proj.spec.lo == spec.lo[:k] and proj.spec.hi == spec.hi[:k]
+        want = dense.reshape(*spec.dims[:k], -1, order="F").any(axis=-1)
+        assert np.array_equal(proj.to_dense(), want)
+        labels = segment(proj, connectivity)
+        prefix = np.array([labels.label_of(int(lin)) for lin in free], dtype=np.int64)
+        assert prefix.all()
+        pairs = np.unique(np.stack([full[free], prefix]), axis=1)
+        assert pairs.shape[1] == np.unique(full[free]).size
 
 
 class TestSegmentCheck:
