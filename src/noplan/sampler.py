@@ -5,7 +5,9 @@ is reached. The visited set is one bit per cell, and draws follow a seeded
 pseudorandom permutation of the grid that skips visited cells. Every hit is
 amplified two ways: the collision cause lets whole axis-aligned slices of
 the grid be marked without further checks, and a few random grid neighbors
-of the hit are checked directly, since obstacle cells cluster.
+of the hit are checked directly, since obstacle cells cluster. A slice is
+marked in place in the packed visited bits and the packed bitmap, one
+strided byte view per bit phase, without listing its cells.
 """
 
 from __future__ import annotations
@@ -137,10 +139,6 @@ class SampleSet:
         """Remove many indices at once; returns the ones actually removed,
         ascending. A strictly increasing input skips deduplication."""
         idx = np.asarray(linear, dtype=np.int64).ravel()
-        if idx.size == 1:  # a one-cell slice costs no vectorised pass
-            cell = int(idx[0])
-            self._check(cell)
-            return idx if self._take(cell) else idx[:0]
         if not (idx[1:] > idx[:-1]).all():
             idx = np.unique(idx)
         if idx.size == 0:
@@ -221,19 +219,64 @@ def _fixed_axes(robot, cause) -> tuple:
 def cells_implied_by(robot, spec: GridSpec, linear: int, cause) -> np.ndarray:
     """Linear indices of every cell the collision cause proves colliding.
 
-    Always includes the sampled cell itself.
+    Always includes the sampled cell itself. ``propagate`` marks the same
+    cells without listing them.
     """
     return _slice_indices(spec, linear, *_fixed_axes(robot, cause))
 
 
+def _slice_rows(inner: int, outer: int, fixed: int, rows: int):
+    """Strided byte rows of a packed bit array that hold a slice.
+
+    The slice is ``rows`` runs of ``inner`` bits at ``fixed + k * outer``,
+    as ``_slice`` gives it. The bit offset of run k within its byte repeats
+    with period ``P = 8 / gcd(outer, 8)`` in k, and the runs of one phase
+    lie ``P * outer = lcm(outer, 8)`` bits apart, a whole number of bytes.
+    Yields per phase (first byte, run count, byte stride, mask): run j of
+    the phase lies in the bytes from ``first + j * stride`` on, at the bits
+    the mask row sets. Rows of one phase never share a byte. Where
+    ``outer`` divides 8, each run lies inside one byte. Otherwise a stride
+    holds ``lcm(outer, 8) >= 16`` bits, and a mask row at most
+    ``7 + inner <= 7 + outer / 2`` of them, as a slice fixes an axis.
+    """
+    period = 8 // math.gcd(outer, 8)
+    stride = period * outer // 8
+    for p in range(min(period, rows)):
+        start = fixed + p * outer
+        off = start & 7
+        width = (off + inner + 7) >> 3
+        mask = (((1 << inner) - 1) << off).to_bytes(width, "little")
+        yield start >> 3, len(range(p, rows, period)), stride, np.frombuffer(mask, np.uint8)
+
+
 def propagate(bm: CSpaceBitmap, ss: SampleSet, robot, linear: int, cause) -> int:
-    """Mark every cell implied by a collision cause; returns how many were
-    newly marked (cells already visited or already marked do not count)."""
-    implied = cells_implied_by(robot, bm.spec, linear, cause)
-    removed = ss.remove_bulk(implied)
-    if removed.size:
-        bm.set_obstacle_bulk(removed)
-    return int(removed.size)
+    """Mark every cell implied by a collision cause and not visited before
+    as visited and obstacle; returns how many were.
+
+    The slice is marked in place in the visited bits and the bitmap, a
+    strided byte view per bit phase (``_slice_rows``), without an array of
+    one entry per implied cell.
+    """
+    spec = bm.spec
+    inner, outer, fixed = _slice(spec, linear, *_fixed_axes(robot, cause))
+    rows = spec.size // outer
+    if inner * rows == 1:  # one cell costs no vectorised pass
+        if not ss._take(fixed):
+            return 0
+        bm.set_obstacle(fixed)
+        return 1
+    marked = 0
+    for first, n, stride, mask in _slice_rows(inner, outer, fixed, rows):
+        shape, strides = (n, mask.size), (stride, 1)
+        seen = np.ndarray(shape, np.uint8, buffer=ss._visited, offset=first, strides=strides)
+        free = np.ndarray(shape, np.uint8, buffer=bm.bits, offset=first, strides=strides)
+        fresh = ~seen
+        fresh &= mask
+        marked += int(np.bitwise_count(fresh).sum())
+        seen |= mask
+        free &= np.invert(fresh, out=fresh)
+    ss.size -= marked
+    return marked
 
 
 # Cells each worker checks per round trip. A round trip costs the master
@@ -360,7 +403,8 @@ def sample_obstacle_cells(
         """Mark the hits and propagate those no earlier slice of the batch
         covers; returns the linear indices of those propagated."""
         propagated = []
-        covered = _covered_hits(robot, spec, hits)
+        # A lone hit has no earlier slice to lie in.
+        covered = _covered_hits(robot, spec, hits) if len(hits) > 1 else ()
         for i, (lin, cause) in enumerate(hits):
             bm.set_obstacle(lin)
             if i in covered:

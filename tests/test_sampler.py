@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
@@ -26,8 +26,9 @@ from noplan.sampler import (
     propagate,
     sample_obstacle_cells,
 )
+from noplan.scenario_io import load_scenario
 
-from support import grid_and_cell, square, three_band_scene
+from support import SCENARIO_DIR, grid_and_cell, square, three_band_scene
 
 
 def torus(dims):
@@ -299,6 +300,86 @@ def test_slices_match_enumeration_on_random_grids(case):
         for hi in range(lo, spec.ndim):
             got = _slice_indices(spec, lin, lo, hi)
             assert got.tolist() == agreement_oracle(spec, multi, lo, hi)
+
+
+@st.composite
+def propagation_cases(draw):
+    """A grid of 1-5 axes with 2-10 cells each and random wrap flags, a
+    robot on it, a cell, a cause that robot can report, and a seed for the
+    cells visited and marked beforehand."""
+    n = draw(st.integers(1, 5))
+    dims = tuple(draw(st.lists(st.integers(2, 10), min_size=n, max_size=n)))
+    wrap = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    spec = GridSpec(dims, wrap, (0.0,) * n, (1.0,) * n)
+    if n == 3 and draw(st.booleans()):
+        robot = RigidSE2(square(0, 0, 0.5), (0, 0))
+        cause = draw(st.sampled_from([ObstacleHit(1, 0), BaseInObstacle(0)]))
+    else:
+        robot = SerialChain((0, 0), [1.0] * n)
+        link = st.integers(1, n)
+        causes = [st.builds(ObstacleHit, link, st.just(0))]
+        if n > 1:
+            causes.append(st.tuples(link, link).filter(lambda p: p[0] < p[1]).map(lambda p: SelfHit(*p)))
+        cause = draw(st.one_of(causes))
+    return spec, robot, draw(st.integers(0, spec.size - 1)), cause, draw(st.integers(0, 2**32 - 1))
+
+
+# Seven runs of 6 cells, 90 apart, in four bit phases; the first, at cell
+# 6, spans bits 6-11, across a byte boundary.
+STRADDLING = (
+    GridSpec((6, 3, 5, 7), (True,) * 4, (0.0,) * 4, (1.0,) * 4),
+    SerialChain((0, 0), [1.0] * 4),
+    6,
+    SelfHit(2, 3),
+    0,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(propagation_cases())
+@example(STRADDLING)
+def test_propagate_matches_the_index_path(case):
+    """Marking a slice in place leaves both bit arrays, the count and the
+    set's size as listing its cells and removing them would."""
+    spec, robot, lin, cause, seed = case
+    rng = np.random.default_rng(seed)
+    visited = np.flatnonzero(rng.random(spec.size) < rng.random())
+    obstacle = np.flatnonzero(rng.random(spec.size) < rng.random())
+
+    def prior():
+        bm, ss = CSpaceBitmap(spec), SampleSet(spec.size)
+        ss.remove_bulk(visited)
+        bm.set_obstacle_bulk(obstacle)
+        return bm, ss
+
+    bm, ss = prior()
+    count = propagate(bm, ss, robot, lin, cause)
+    ref_bm, ref_ss = prior()
+    removed = ref_ss.remove_bulk(cells_implied_by(robot, spec, lin, cause))
+    ref_bm.set_obstacle_bulk(removed)
+    assert count == removed.size
+    assert len(ss) == len(ref_ss)
+    assert ss._visited.tobytes() == ref_ss._visited.tobytes()
+    assert bm.bits.tobytes() == ref_bm.bits.tobytes()
+
+
+def test_propagation_holds_no_per_cell_array():
+    """A link-1 hit on the bundled 20^6 chain marks 20^5 cells with a
+    transient peak of a few bits per cell, not an index per cell."""
+    sc = load_scenario(SCENARIO_DIR / "six_link_bands.yaml")
+    spec = sc.grid
+    lin = multi_to_lin(spec, (5, 0, 0, 0, 0, 0))  # link 1 pointing up, into block-up
+    cause = sc.robot.collision_check(cell_to_config(spec, lin_to_multi(spec, lin)), sc.prepared()).cause
+    assert cause == ObstacleHit(1, 0)
+    bm, ss = CSpaceBitmap(spec), SampleSet(spec.size)
+    tracemalloc.start()
+    try:
+        count = propagate(bm, ss, sc.robot, lin, cause)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 20**5
+    assert peak <= 4 * count
 
 
 def covered_by_tuple_slices(robot, spec, hits) -> set:
