@@ -66,6 +66,10 @@ class GridSpec:
     def step(self, axis: int) -> float:
         return (self.hi[axis] - self.lo[axis]) / self.dims[axis]
 
+    def prefix(self, k: int) -> "GridSpec":
+        """The grid on the first ``k`` axes."""
+        return GridSpec(self.dims[:k], self.wrap[:k], self.lo[:k], self.hi[:k])
+
     def strides(self) -> tuple:
         """Linear-index stride of each axis (first axis has stride 1)."""
         out = []

@@ -47,11 +47,15 @@ class Verdict:
     stats: list = field(default_factory=list)
     labels: LabelField = None
     digest: str = None
-    component_count: int = None
     bitmap: CSpaceBitmap = None
     elapsed: float = 0.0
     segmentation_time: float = 0.0
     detail: str = ""
+
+    @property
+    def component_count(self) -> int:
+        """Free components of ``labels``; None without labels."""
+        return None if self.labels is None else self.labels.component_count
 
     def to_dict(self) -> dict:
         spec = self.bitmap.spec if self.bitmap is not None else None
@@ -161,7 +165,6 @@ def prove_infeasibility(
             stats=stats_list,
             labels=labels,
             digest=bm.digest(),
-            component_count=None if labels is None else labels.component_count,
             bitmap=bm,
             elapsed=time.perf_counter() - t0,
             segmentation_time=seg_time,
@@ -176,10 +179,10 @@ def prove_infeasibility(
             iteration += 1
             it_t0 = time.perf_counter()
             if pool is None:
-                st = sample_obstacle_cells(bm, ss, robot, obstacles, params, rng, iteration)
+                st = sample_obstacle_cells(bm, ss, robot, obstacles, params, rng)
             else:
-                st = sample_obstacle_cells_parallel(bm, ss, robot, pool, params, rng, iteration)
-            st.elapsed = time.perf_counter() - it_t0
+                st = sample_obstacle_cells_parallel(bm, ss, robot, pool, params, rng)
+            st.iteration, st.elapsed = iteration, time.perf_counter() - it_t0
             stats_list.append(st)
             exhausted = ss.size == 0
 

@@ -1,13 +1,15 @@
 """Without-replacement sampling of obstacle cells with hit amplification.
 
-Each iteration draws not-yet-visited cells until a quota of collision hits
-is reached. The visited set is one bit per cell, and draws follow a seeded
-pseudorandom permutation of the grid that skips visited cells. Every hit is
-amplified two ways: the collision cause lets whole axis-aligned slices of
-the grid be marked without further checks, and a few random grid neighbors
-of the hit are checked directly, since obstacle cells cluster. A slice is
-marked in place in the packed visited bits and the packed bitmap, one
-strided byte view per bit phase, without listing its cells.
+An iteration is one loop around one check step. The loop draws
+not-yet-visited cells until a quota of collision hits is reached; the step
+checks a batch of cells and applies its hits. The visited set is one bit per
+cell, and draws follow a seeded pseudorandom permutation of the grid that
+skips visited cells. Every hit is amplified two ways: the collision cause
+lets whole axis-aligned slices of the grid be marked without further checks,
+and a few random grid neighbors of the hit are checked directly, since
+obstacle cells cluster. A slice is marked in place in the packed visited
+bits and the packed bitmap, one strided byte view per bit phase, without
+listing its cells.
 """
 
 from __future__ import annotations
@@ -137,10 +139,8 @@ class SampleSet:
 
     def remove_bulk(self, linear) -> np.ndarray:
         """Remove many indices at once; returns the ones actually removed,
-        ascending. A strictly increasing input skips deduplication."""
-        idx = np.asarray(linear, dtype=np.int64).ravel()
-        if not (idx[1:] > idx[:-1]).all():
-            idx = np.unique(idx)
+        ascending."""
+        idx = np.unique(np.asarray(linear, dtype=np.int64))
         if idx.size == 0:
             return idx
         self._check(int(idx[0]))
@@ -170,10 +170,10 @@ class SamplerParams:
 
 @dataclass
 class IterationStats:
-    iteration: int
-    hits: int
-    checks: int
-    propagated: int
+    iteration: int = 0
+    hits: int = 0
+    checks: int = 0
+    propagated: int = 0
     elapsed: float = 0.0
 
 
@@ -354,25 +354,25 @@ def sample_obstacle_cells(
     obstacles,
     params: SamplerParams,
     rng: np.random.Generator,
-    iteration: int = 0,
     pool: CheckPool = None,
 ) -> IterationStats:
     """One sampling iteration: draw until ``min_hits`` collision hits.
 
-    Cells are taken in batches, checked, and their results applied in the
-    order taken. Checked in this process, a batch is one cell, so that each
-    cell taken sees the propagation of every hit before it; ``pool`` checks
-    batches of ``pool.batch_size`` cells. Free draws are discarded (they
-    stay marked free, never re-drawn). Each hit is marked, cause-propagated,
-    and followed by up to ``neighbor_checks`` random Moore neighbors drawn
-    without replacement; neighbors visited by the time they are taken are
-    skipped, not replaced. Neighbor hits are amplified the same way but do
-    not count toward the quota. A hit inside a slice propagated earlier in
-    its batch is only marked, neither counted nor propagated: without the
-    batch it could not have been taken. A batch is applied whole, so a
-    pooled iteration may end with more hits than the quota.
+    One loop around one step, ``check``, which checks a batch of cells,
+    marks its hits and propagates each hit no earlier slice of the batch
+    covers. The loop checks a batch of draws and counts its propagated hits
+    toward the quota; then it checks, in batches too, up to
+    ``neighbor_checks`` random Moore neighbors of each, drawn without
+    replacement. Free cells stay marked free, never re-drawn; a neighbor
+    visited by the time it is taken is skipped, not replaced, and neighbor
+    hits do not count toward the quota.
 
-    The iteration ends short of the quota when every cell has been visited.
+    In this process a batch is one cell, so each cell taken sees the
+    propagation of every hit before it; ``pool`` checks batches of
+    ``pool.batch_size`` cells. A covered hit is only marked: without the
+    batch it could not have been taken. A batch is applied whole, so a
+    pooled iteration may end past the quota. The iteration ends short of
+    the quota when every cell has been visited.
     """
     spec = bm.spec
     if params.neighbor_checks > 3**spec.ndim - 1:
@@ -380,62 +380,41 @@ def sample_obstacle_cells(
             f"neighbor_checks {params.neighbor_checks} exceeds Moore neighborhood "
             f"size {3**spec.ndim - 1}"
         )
-    stats = IterationStats(iteration=iteration, hits=0, checks=0, propagated=0)
+    stats = IterationStats()
+    batch = pool.batch_size if pool else 1
 
-    def draws():
-        while ss.size:
-            yield ss.draw(rng)
-
-    batch_size = pool.batch_size if pool else 1
-
-    def next_batch(cells) -> tuple:
-        """Check the next batch from an iterator of unvisited cells; returns
-        how many were checked and the hits in order, as (linear index,
-        cause)."""
-        lins = list(itertools.islice(cells, batch_size))
+    def check(lins) -> list:
+        """Check a batch and apply its hits; returns the propagated ones."""
         if pool is None:
             causes = [_check_cell(robot, obstacles, spec, lin) for lin in lins]
         else:
             causes = pool.check(lins)
-        return len(lins), [(lin, cause) for lin, cause in zip(lins, causes) if cause is not None]
-
-    def apply(hits) -> list:
-        """Mark the hits and propagate those no earlier slice of the batch
-        covers; returns the linear indices of those propagated."""
-        propagated = []
+        stats.checks += len(lins)
+        hits = [(lin, cause) for lin, cause in zip(lins, causes) if cause is not None]
         # A lone hit has no earlier slice to lie in.
         covered = _covered_hits(robot, spec, hits) if len(hits) > 1 else ()
+        propagated = []
         for i, (lin, cause) in enumerate(hits):
             bm.set_obstacle(lin)
-            if i in covered:
-                continue
-            stats.propagated += propagate(bm, ss, robot, lin, cause)
-            propagated.append(lin)
+            if i not in covered:
+                stats.propagated += propagate(bm, ss, robot, lin, cause)
+                propagated.append(lin)
         return propagated
 
-    drawn = draws()
     while stats.hits < params.min_hits and ss.size:
-        checked, hits = next_batch(drawn)
-        stats.checks += checked
-        if not hits:
+        fresh = check([ss.draw(rng) for _ in range(min(batch, ss.size))])
+        if not fresh:  # most one-cell batches miss: skip the probe set-up
             continue
-        fresh = apply(hits)
         stats.hits += len(fresh)
-        candidates = []
+        probes = []
         for lin in fresh:
             moore = neighbors(spec, lin)
             take = min(params.neighbor_checks, len(moore))
-            if take == 0:
-                continue
-            for p in rng.choice(len(moore), size=take, replace=False):
-                candidates.append(moore[int(p)])
-        probes = (lin for lin in candidates if ss.remove(lin))
-        while True:
-            checked, hits = next_batch(probes)
-            if not checked:
-                break
-            stats.checks += checked
-            apply(hits)
+            if take:
+                probes += (moore[int(p)] for p in rng.choice(len(moore), size=take, replace=False))
+        probes = (lin for lin in probes if ss.remove(lin))
+        while lins := list(itertools.islice(probes, batch)):
+            check(lins)
     return stats
 
 
@@ -446,8 +425,7 @@ def sample_obstacle_cells_parallel(
     pool: CheckPool,
     params: SamplerParams,
     rng: np.random.Generator,
-    iteration: int = 0,
 ) -> IterationStats:
     """``sample_obstacle_cells`` with the checks made by ``pool``; a name of
     its own lets a profile tell pooled iterations from in-process ones."""
-    return sample_obstacle_cells(bm, ss, robot, None, params, rng, iteration, pool)
+    return sample_obstacle_cells(bm, ss, robot, None, params, rng, pool)

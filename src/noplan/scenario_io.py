@@ -80,13 +80,12 @@ class Scenario:
             raise ValidationError("only serial chains support truncation")
         if k == self.robot.dof:
             return self
-        g = self.grid
         return replace(
             self,
             robot=self.robot.truncated(k),
             start=self.start[:k],
             goal=self.goal[:k],
-            grid=GridSpec(g.dims[:k], g.wrap[:k], g.lo[:k], g.hi[:k]),
+            grid=self.grid.prefix(k),
             truncate_to_links=k,
         )
 

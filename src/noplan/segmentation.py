@@ -115,8 +115,7 @@ def project(bm: CSpaceBitmap, k: int) -> CSpaceBitmap:
     row is unpacked. Rows of 4096 bits or more keep numpy's loop long. Like
     the tail bits past the grid, the zero bytes padding the last row mark
     no prefix free."""
-    spec = bm.spec
-    sub = GridSpec(spec.dims[:k], spec.wrap[:k], spec.lo[:k], spec.hi[:k])
+    sub = bm.spec.prefix(k)
     row = math.lcm(sub.size, 8)
     row *= max(1, 4096 // row)
     rows = -(-bm.bits.size * 8 // row)

@@ -80,9 +80,9 @@ class TestVerdicts:
         sc = three_band_scene(36)
         goal = multi_to_lin(sc.grid, config_to_cell(sc.grid, sc.goal))
 
-        def mark_goal(bm, ss, robot, obstacles, params, rng, iteration):
+        def mark_goal(bm, ss, robot, obstacles, params, rng):
             bm.set_obstacle(goal)
-            return IterationStats(iteration=iteration, hits=1, checks=1, propagated=0)
+            return IterationStats(hits=1, checks=1, propagated=0)
 
         monkeypatch.setattr(engine, "sample_obstacle_cells", mark_goal)
         verdict = prove_infeasibility(sc, SamplerParams(5, 2), seed=0)
@@ -254,6 +254,20 @@ class TestParallel:
         parallel = prove_infeasibility(sc, SamplerParams(30, 4), seed=9, threads=2)
         assert parallel.kind == serial.kind == INFEASIBLE
         confirm_with_oracle(sc, parallel)
+
+    def test_two_workers_deterministic_for_a_seed(self):
+        # Hits and neighbor probes span several pooled batches here.
+        sc = load_scenario(SCENARIO_DIR / "four_link_bands.yaml")
+
+        def run():
+            verdict = prove_infeasibility(sc, seed=0, threads=2)
+            data = verdict.to_dict()
+            del data["elapsed_seconds"], data["segmentation_seconds"]
+            for it in data["per_iteration"]:
+                del it["elapsed_seconds"]
+            return data
+
+        assert run() == run()
 
     def test_two_workers_feasible_scene(self):
         verdict = prove_infeasibility(
