@@ -66,6 +66,11 @@ class GridSpec:
     def step(self, axis: int) -> float:
         return (self.hi[axis] - self.lo[axis]) / self.dims[axis]
 
+    def centres(self, axis: int) -> tuple:
+        """Coordinate of each cell centre on one axis, the same float
+        ``cell_to_config`` computes."""
+        return tuple(self.lo[axis] + (m + 0.5) * self.step(axis) for m in range(self.dims[axis]))
+
     def prefix(self, k: int) -> "GridSpec":
         """The grid on the first ``k`` axes."""
         return GridSpec(self.dims[:k], self.wrap[:k], self.lo[:k], self.hi[:k])

@@ -156,7 +156,7 @@ def prove_infeasibility(
     ss = SampleSet(spec.size)
     stats_list = []
     seg_time = 0.0
-    pool = None
+    pool = kernel = None
 
     def verdict(kind, detail, labels=None):
         return Verdict(
@@ -174,12 +174,14 @@ def prove_infeasibility(
     try:
         if threads > 1:
             pool = CheckPool(threads, robot, obstacles, spec)
+        else:
+            kernel = robot.cell_kernel(spec, obstacles)
         iteration = 0
         while True:
             iteration += 1
             it_t0 = time.perf_counter()
             if pool is None:
-                st = sample_obstacle_cells(bm, ss, robot, obstacles, params, rng)
+                st = sample_obstacle_cells(bm, ss, robot, kernel, params, rng)
             else:
                 st = sample_obstacle_cells_parallel(bm, ss, robot, pool, params, rng)
             st.iteration, st.elapsed = iteration, time.perf_counter() - it_t0
@@ -218,5 +220,6 @@ def prove_infeasibility(
                     f"no verdict after {iteration} iterations within {timeout} s"
                 )
     finally:
+        kernel = None  # its memo ends with the proof, also one that raised
         if pool is not None:
             pool.close()

@@ -218,6 +218,114 @@ class SerialChain:
                             return CollisionReport(SelfHit(i + 1, j + 1))
         return FREE
 
+    def cell_kernel(self, spec, obs: PreparedObstacles) -> "ChainCells":
+        return ChainCells(self, spec, obs)
+
+
+# Entries the deepest level of a ChainCells memo holds before every level
+# starts over; a level above gains an entry only with one below, so none
+# outgrows it. The 16^3 prefixes of a 16^4 grid fit; on a four-link chain
+# an entry costs about 230 B, its share of the levels above included.
+MEMO_CELLS = 1 << 13
+
+
+def _link_body(jx, jy, angle, link):
+    """``link_raws``' arithmetic for one link hinged at (jx, jy) at a world
+    angle: ((raws, bounding box), end x, end y)."""
+    c, s = math.cos(angle), math.sin(angle)
+    ex, ey = jx + link.length * c, jy + link.length * s
+    hx, hy = -s * 0.5 * link.width, c * 0.5 * link.width
+    x0, y0 = jx + hx, jy + hy
+    x1, y1 = jx - hx, jy - hy
+    x2, y2 = ex - hx, ey - hy
+    x3, y3 = ex + hx, ey + hy
+    raws = ((x0, y0, x1, y1, x2, y2), (x0, y0, x2, y2, x3, y3))
+    box = (min(x0, x1, x2, x3), min(y0, y1, y2, y3), max(x0, x1, x2, x3), max(y0, y1, y2, y3))
+    return (raws, box), ex, ey
+
+
+def _bodies_touch(a, b) -> bool:
+    """``collision_check``'s self test of two (raws, box) link bodies."""
+    (raws_a, ba), (raws_b, bb) = a, b
+    if ba[2] < bb[0] or bb[2] < ba[0] or ba[3] < bb[1] or bb[3] < ba[1]:
+        return False
+    return any(raw_tri_intersects(ra, rb) for ra in raws_a for rb in raws_b)
+
+
+class ChainCells:
+    """``collision_check``'s cause at each cell centre of a chain's grid,
+    by linear index, with each link's pose and obstacle test computed once
+    per joint prefix.
+
+    Link k's pose, its obstacle test and its self pairs with earlier links
+    depend only on joints 1..k, that is on the cell's linear index modulo
+    the stride of axis k + 1. For each link but the last the memo maps that
+    prefix to the cause found up to the link: an ``ObstacleHit``, which no
+    later link can change, or (world angle, end x, end y, the bodies of the
+    links later links test for self contact, first ``SelfHit`` so far). A
+    cell then costs its last link's entry, computed the same way.
+    Joint values come from the grid's centre tables, so every float equals
+    ``collision_check``'s on ``cell_to_config``'s configuration.
+    """
+
+    def __init__(self, chain: SerialChain, spec, obs: PreparedObstacles):
+        self.links = chain.links
+        self.obs = obs
+        self.centres = [spec.centres(a) for a in range(spec.ndim)]
+        # The tables increase, so their two ends bound every cell.
+        for end in (0, -1):
+            chain._validate(tuple(t[end] for t in self.centres))
+        self.strides = (*spec.strides(), spec.size)
+        self.dims = spec.dims
+        self.root = (0.0, chain.base.x, chain.base.y, (), None)
+        self.memo = [{} for _ in range(chain.dof - 1)]
+
+    def __call__(self, lin: int) -> object:
+        n = len(self.links)
+        e = self.root
+        if n > 1:
+            e = self.memo[-1].get(lin % self.strides[n - 1])
+            if e is None:
+                e = self._fill(lin)
+        e = self._link(n - 1, e, lin)
+        return e[4] if type(e) is tuple else e
+
+    def _fill(self, lin: int):
+        """Compute and memoise the entries of the cell's prefixes that the
+        memo lacks, from its deepest cached one; returns the deepest."""
+        memo, strides = self.memo, self.strides
+        k = len(memo) - 1  # the first level to compute
+        while k and (e := memo[k - 1].get(lin % strides[k])) is None:
+            k -= 1
+        if not k:
+            e = self.root
+        if len(memo[-1]) >= MEMO_CELLS:
+            for level in memo:
+                level.clear()
+        for k in range(k, len(memo)):
+            e = self._link(k, e, lin)
+            memo[k][lin % strides[k + 1]] = e
+        return e
+
+    def _link(self, k: int, parent, lin: int):
+        """Entry of link k (0-based) from the entry of its parent prefix."""
+        if type(parent) is not tuple:
+            return parent
+        angle, jx, jy, bodies, hit = parent
+        angle += self.centres[k][lin // self.strides[k] % self.dims[k]]
+        body, ex, ey = _link_body(jx, jy, angle, self.links[k])
+        oi = _raws_hit_obstacle(*body, self.obs)
+        if oi is not None:
+            return ObstacleHit(k + 1, oi)
+        # A pair (i, k) comes before the pair found so far only if i is smaller.
+        for i in range(k - 1 if hit is None else hit.link_a - 1):
+            if _bodies_touch(bodies[i], body):
+                hit = SelfHit(i + 1, k + 1)
+                break
+        if k < len(self.links) - 2:  # a later link is not adjacent to it
+            bodies += (body,)
+        return angle, ex, ey, bodies, hit
+
 
 class RigidSE2:
     """Rigid polygonal body translating and rotating in the plane.
@@ -290,3 +398,23 @@ class RigidSE2:
         if oi is not None:
             return CollisionReport(ObstacleHit(1, oi))
         return FREE
+
+    def cell_kernel(self, spec, obs: PreparedObstacles) -> "BodyCells":
+        return BodyCells(self, spec, obs)
+
+
+class BodyCells:
+    """``collision_check``'s cause at each cell centre of a rigid body's
+    grid, by linear index, with the coordinates read from the grid's centre
+    tables."""
+
+    def __init__(self, body: RigidSE2, spec, obs: PreparedObstacles):
+        self.body = body
+        self.obs = obs
+        self.xs, self.ys, self.phis = (spec.centres(a) for a in range(3))
+
+    def __call__(self, lin: int) -> object:
+        rest, mx = divmod(lin, len(self.xs))
+        mphi, my = divmod(rest, len(self.ys))
+        q = (self.xs[mx], self.ys[my], self.phis[mphi])
+        return self.body.collision_check(q, self.obs).cause

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmap import CSpaceBitmap, GridSpec, cell_to_config, lin_to_multi, neighbors
+from .bitmap import CSpaceBitmap, GridSpec, neighbors
 from .errors import Exhausted, OutOfRange, ValidationError
 from .kinematics import BaseInObstacle, ObstacleHit, SelfHit
 
@@ -285,47 +285,89 @@ def propagate(bm: CSpaceBitmap, ss: SampleSet, robot, linear: int, cause) -> int
 CELLS_PER_WORKER = 256
 
 
-def _check_cell(robot, obstacles, spec: GridSpec, linear: int) -> object:
-    """Collision cause at a cell's center (None = free)."""
-    return robot.collision_check(cell_to_config(spec, lin_to_multi(spec, linear)), obstacles).cause
+def _check_cell(kernel, linear: int) -> object:
+    """Collision cause at a cell's center (None = free), from the proof's
+    cell kernel (``robot.cell_kernel``)."""
+    return kernel(linear)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(robot, obstacles, spec):
-    _WORKER_STATE.update(robot=robot, obstacles=obstacles, spec=spec)
-
-
-def _check_chunk(lins):
-    return [_check_cell(**_WORKER_STATE, linear=int(lin)) for lin in lins]
+def _serve(conn, robot, obstacles, spec: GridSpec):
+    """A check worker: answer each list of linear indices with the list of
+    their causes, or with the exception checking them raised."""
+    kernel = robot.cell_kernel(spec, obstacles)
+    while True:
+        try:
+            lins = conn.recv()
+        except EOFError:  # the pool closed its end
+            return
+        try:
+            conn.send([_check_cell(kernel, lin) for lin in lins])
+        except Exception as exc:  # the pool re-raises it
+            conn.send(exc)
 
 
 class CheckPool:
     """Worker processes that collision-check cells for one proof.
 
-    The workers get the robot, obstacles and grid once, when they start,
-    and then only linear cell indices. ``close`` ends and reaps them.
+    Each worker is a process with a pipe of its own. The workers get the
+    robot, obstacles and grid once, when they are forked, and then only
+    lists of linear cell indices. The cells that agree on every axis but
+    the last go to one worker, so the workers' kernel memos are disjoint.
+    ``close`` ends and reaps them.
     """
 
     def __init__(self, workers: int, robot, obstacles, spec: GridSpec):
         self.workers = workers
         self.batch_size = CELLS_PER_WORKER * workers
-        self._pool = multiprocessing.Pool(
-            workers, initializer=_init_worker, initargs=(robot, obstacles, spec)
-        )
+        # On one axis no memo is shared, so the cells themselves spread.
+        self._prefix = spec.strides()[-1] if spec.ndim > 1 else spec.size
+        self._conns = []
+        self._procs = []
+        # Fork: the workers start without re-importing numpy or pickling
+        # the robot, and the prover starts no thread a fork could copy.
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for _ in range(workers):
+                here, there = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(there, robot, obstacles, spec), daemon=True)
+                proc.start()
+                there.close()
+                self._conns.append(here)
+                self._procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
 
     def check(self, lins) -> list:
         """Collision cause of each cell, in the order given (None = free)."""
-        chunks = np.array_split(np.asarray(lins, dtype=np.int64), self.workers)
-        causes = []
-        for part in self._pool.map(_check_chunk, [c for c in chunks if c.size]):
-            causes.extend(part)
+        lins = np.asarray(lins, dtype=np.int64)
+        owner = lins % self._prefix % self.workers
+        sent = []
+        for w, conn in enumerate(self._conns):
+            idx = np.flatnonzero(owner == w)
+            if idx.size:
+                conn.send(lins[idx].tolist())
+                sent.append((conn, idx))
+        causes = [None] * lins.size
+        error = None
+        for conn, idx in sent:  # every reply is read before any is raised
+            reply = conn.recv()
+            if isinstance(reply, Exception):
+                error = error or reply
+            else:
+                for i, cause in zip(idx.tolist(), reply):
+                    causes[i] = cause
+        if error is not None:
+            raise error
         return causes
 
     def close(self):
-        self._pool.terminate()
-        self._pool.join()
+        for proc in self._procs:
+            proc.terminate()
+        for proc in self._procs:
+            proc.join()
+        for conn in self._conns:
+            conn.close()
 
 
 def _covered_hits(robot, spec: GridSpec, hits) -> set:
@@ -351,7 +393,7 @@ def sample_obstacle_cells(
     bm: CSpaceBitmap,
     ss: SampleSet,
     robot,
-    obstacles,
+    kernel,
     params: SamplerParams,
     rng: np.random.Generator,
     pool: CheckPool = None,
@@ -367,8 +409,9 @@ def sample_obstacle_cells(
     visited by the time it is taken is skipped, not replaced, and neighbor
     hits do not count toward the quota.
 
-    In this process a batch is one cell, so each cell taken sees the
-    propagation of every hit before it; ``pool`` checks batches of
+    In this process ``kernel``, the proof's ``robot.cell_kernel``, checks
+    batches of one cell, so each cell taken sees the propagation of every
+    hit before it; ``pool`` checks batches of
     ``pool.batch_size`` cells. A covered hit is only marked: without the
     batch it could not have been taken. A batch is applied whole, so a
     pooled iteration may end past the quota. The iteration ends short of
@@ -386,7 +429,7 @@ def sample_obstacle_cells(
     def check(lins) -> list:
         """Check a batch and apply its hits; returns the propagated ones."""
         if pool is None:
-            causes = [_check_cell(robot, obstacles, spec, lin) for lin in lins]
+            causes = [_check_cell(kernel, lin) for lin in lins]
         else:
             causes = pool.check(lins)
         stats.checks += len(lins)

@@ -260,17 +260,17 @@ def test_criterion_7_parallel_speedup(kernel_bound_trials):
     """Four workers cut the CPU cost of a kernel-bound proof below 0.8x serial.
 
     Workers only check collisions; propagation and segmentation stay in
-    the calling process. On four_link_bands at 36^4 checks are 11% of a
-    serial proof, which caps any number of workers at 0.89x, so the gate
-    runs on a scene whose checks dominate. Wall time on a shared host
-    measures whether its cores are free at that moment, so the gate costs
-    CPU time instead: a serial proof costs its CPU time, a 4-worker proof
-    what it would take at least on two free cores, the fewest on which 4
-    workers can gain anything. The calling thread waits for each batch's
-    checks, so its own CPU time never overlaps the workers'; what runs
-    meanwhile, the workers and this process's pool threads, shares the two
-    cores. A 4-worker proof thus costs the calling thread's CPU time plus
-    half the CPU time of everything else.
+    the calling process. On four_link_bands at 36^4 a serial proof takes
+    about 0.05 CPU-s, half of it checks, too little for forked workers to
+    pay for, so the gate runs on a scene whose checks dominate. Wall time
+    on a shared host measures whether its cores are free at that moment,
+    so the gate costs CPU time instead: a serial proof costs its CPU time,
+    a 4-worker proof what it would take at least on two free cores, the
+    fewest on which 4 workers can gain anything. The calling thread waits
+    for each batch's checks, so its own CPU time never overlaps the
+    workers'; the workers, which run meanwhile, share the two cores. A
+    4-worker proof thus costs the calling thread's CPU time plus half the
+    CPU time of everything else.
     """
     kinds = Counter(run.kind for pair in kernel_bound_trials for run in pair)
     assert kinds == {FEASIBLE_AT_RESOLUTION: 2 * len(kernel_bound_trials)}

@@ -1,10 +1,13 @@
+import gc
 import json
 import math
+import multiprocessing
+import weakref
 
 import numpy as np
 import pytest
 
-from noplan import engine
+from noplan import engine, sampler
 from noplan.bitmap import GridSpec, config_to_cell, multi_to_lin
 from noplan.engine import (
     FEASIBLE_AT_RESOLUTION,
@@ -15,12 +18,19 @@ from noplan.engine import (
 )
 from noplan.errors import EngineTimeout, TooLarge, ValidationError
 from noplan.oracle import bfs_connected, brute_force_bitmap
-from noplan.sampler import IterationStats, SampleSet, SamplerParams
+from noplan.sampler import CheckPool, IterationStats, SampleSet, SamplerParams
 from noplan.scenario_io import Scenario, chain_grid, load_scenario
 from noplan.kinematics import SerialChain
 from noplan.segmentation import segment, segment_check
 
-from support import SCENARIO_DIR, confirm_with_oracle, empty_scene, square, three_band_scene
+from support import (
+    SCENARIO_DIR,
+    confirm_with_oracle,
+    empty_scene,
+    four_link_scene,
+    square,
+    three_band_scene,
+)
 
 
 class TestVerdicts:
@@ -80,7 +90,7 @@ class TestVerdicts:
         sc = three_band_scene(36)
         goal = multi_to_lin(sc.grid, config_to_cell(sc.grid, sc.goal))
 
-        def mark_goal(bm, ss, robot, obstacles, params, rng):
+        def mark_goal(bm, ss, robot, kernel, params, rng):
             bm.set_obstacle(goal)
             return IterationStats(hits=1, checks=1, propagated=0)
 
@@ -274,6 +284,64 @@ class TestParallel:
             empty_scene(), SamplerParams(10, 3), seed=4, threads=2
         )
         assert verdict.kind == FEASIBLE_AT_RESOLUTION
+
+    def test_causes_come_back_in_order(self):
+        sc = four_link_scene(6, block_angles=(90,))
+        obs = sc.prepared()
+        kernel = sc.robot.cell_kernel(sc.grid, obs)
+        lins = np.random.default_rng(0).permutation(sc.grid.size)[:500].tolist()
+        pool = CheckPool(3, sc.robot, obs, sc.grid)
+        try:
+            assert pool.check(lins) == [kernel(lin) for lin in lins]
+            assert pool.check(lins[:2]) == [kernel(lin) for lin in lins[:2]]
+        finally:
+            pool.close()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_is_raised_in_the_caller(self, monkeypatch):
+        # No cell of the empty scene collides, so every cell gets checked.
+        check = sampler._check_cell
+
+        def failing(kernel, lin):
+            if lin == 17:
+                raise ValidationError("cell 17")
+            return check(kernel, lin)
+
+        monkeypatch.setattr(sampler, "_check_cell", failing)
+        with pytest.raises(ValidationError, match="cell 17"):
+            prove_infeasibility(empty_scene(), SamplerParams(10, 3), seed=4, threads=2)
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        verdict = prove_infeasibility(empty_scene(), SamplerParams(10, 3), seed=4, threads=2)
+        assert verdict.kind == FEASIBLE_AT_RESOLUTION
+        assert multiprocessing.active_children() == []
+
+
+class TestKernelMemo:
+    def test_no_memo_outlives_its_proof(self, monkeypatch):
+        """Reference counting alone frees each proof's kernel: the memo
+        holds no reference cycle, and a proof that raised drops it even
+        while its traceback is kept."""
+        kernels = []
+        build = SerialChain.cell_kernel
+
+        def tracked(robot, spec, obs):
+            kernel = build(robot, spec, obs)
+            kernels.append(weakref.ref(kernel))
+            return kernel
+
+        monkeypatch.setattr(SerialChain, "cell_kernel", tracked)
+        sc = four_link_scene(8, block_angles=(90,))
+        gc.disable()
+        try:
+            assert prove_infeasibility(sc, seed=0).kind == FEASIBLE_AT_RESOLUTION
+            with pytest.raises(EngineTimeout) as raised:
+                prove_infeasibility(sc, SamplerParams(1, 0), seed=0, timeout=0.0)
+            assert raised.tb is not None
+            assert len(kernels) == 2
+            assert [ref() for ref in kernels] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestVerdictSerialization:

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from noplan import kinematics
+from noplan.bitmap import TWO_PI, GridSpec, cell_to_config, lin_to_multi
 from noplan.errors import InvalidConfiguration, ValidationError
 from noplan.geometry import Point2, Polygon2, point_in_polygon, raw_tri_intersects
 from noplan.kinematics import (
@@ -19,7 +24,9 @@ from noplan.kinematics import (
     SerialChain,
 )
 
-from support import regular_polygon, square
+from noplan.scenario_io import chain_grid, se2_grid
+
+from support import four_link_scene, regular_polygon, square
 
 
 def tip(chain, q):
@@ -387,3 +394,126 @@ class TestPrefilters:
             obs = PreparedObstacles([])
             assert all_pairs_chain_cause(chain, q, obs) == SelfHit(1, 3)
             assert chain.collision_check(q, obs).cause == SelfHit(1, 3)
+
+
+def reference_causes(robot, spec, obs) -> list:
+    """``collision_check``'s cause at every cell centre, in raster order."""
+    return [
+        robot.collision_check(cell_to_config(spec, lin_to_multi(spec, lin)), obs).cause
+        for lin in range(spec.size)
+    ]
+
+
+def assert_kernel_matches(robot, spec, obs, seed) -> list:
+    """A fresh cell kernel gives the reference cause on every cell, taken
+    in raster order and, with another fresh kernel, in a shuffled order.
+    Returns the causes."""
+    expect = reference_causes(robot, spec, obs)
+    raster = robot.cell_kernel(spec, obs)
+    assert [raster(lin) for lin in range(spec.size)] == expect
+    shuffled = robot.cell_kernel(spec, obs)
+    order = np.random.default_rng(seed).permutation(spec.size).tolist()
+    assert {lin: shuffled(lin) for lin in order} == dict(enumerate(expect))
+    return expect
+
+
+# Cells of a grid drawn for the kernel tests; the reference checks them all.
+KERNEL_TEST_CELLS = 1500
+
+
+@st.composite
+def chains_on_grids(draw):
+    """A chain of 1-5 links on its grid of 2-9 cells per axis, each joint
+    limited (a clamped axis) or not (a wrapped one), and 0-3 squares that
+    abut one link at one cell centre, touching it or a hair off, as in
+    ``TestPrefilters``."""
+    n = draw(st.integers(1, 5))
+    dims, budget = [], KERNEL_TEST_CELLS
+    for axis in range(n):
+        dims.append(draw(st.integers(2, min(9, budget // 2 ** (n - axis - 1)))))
+        budget //= dims[-1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    limits = []
+    for _ in range(n):
+        lo = rng.uniform(-math.pi, math.pi)
+        limits.append(None if rng.integers(2) else (lo, lo + rng.uniform(0.2, 2 * math.pi)))
+    chain = SerialChain(
+        Point2(*rng.uniform(-0.5, 0.5, 2)),
+        [(rng.uniform(0.2, 1.0), rng.uniform(0.02, 0.3)) for _ in range(n)],
+        limits,
+    )
+    spec = chain_grid(chain, dims)
+    per_link = chain.link_raws(cell_to_config(spec, lin_to_multi(spec, int(rng.integers(spec.size)))))
+    obs = PreparedObstacles([
+        abutting_square(rng, per_link[int(rng.integers(n))]) for _ in range(int(rng.integers(0, 4)))
+    ])
+    return chain, spec, obs, int(rng.integers(2**32))
+
+
+class TestCellKernel:
+    """The cell kernels return ``collision_check``'s cause at each cell
+    centre, whatever order the cells come in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chains_on_grids())
+    def test_chain_kernel_matches_reference(self, case):
+        assert_kernel_matches(*case)
+
+    @pytest.mark.parametrize("side", ["above", "below", "left", "right"])
+    def test_flush_self_contact_on_a_grid(self, side):
+        """Cell (0, 0, 0)'s centre is exactly the flush contact of
+        ``flush_self_contact``; the other cells lie within 2^-39 rad of it."""
+        rng = np.random.default_rng(24)
+        step = 2.0**-40
+        for _ in range(10):
+            chain, q = flush_self_contact(rng, side)
+            limits = [(v - step / 2, v - step / 2 + 3 * step) for v in q]
+            chain = SerialChain(chain.base, chain.links, limits)
+            spec = chain_grid(chain, [3, 3, 3])
+            assert cell_to_config(spec, (0, 0, 0)) == q
+            causes = assert_kernel_matches(chain, spec, PreparedObstacles([]), 0)
+            assert causes[0] == SelfHit(1, 3)
+
+    def test_memo_starts_over_when_full(self, monkeypatch):
+        monkeypatch.setattr(kinematics, "MEMO_CELLS", 7)
+        sc = four_link_scene(5, block_angles=(90,))
+        obs = sc.prepared()
+        expect = reference_causes(sc.robot, sc.grid, obs)
+        kernel = sc.robot.cell_kernel(sc.grid, obs)
+        for lin in np.random.default_rng(0).permutation(sc.grid.size).tolist():
+            assert kernel(lin) == expect[lin]
+            assert max(len(level) for level in kernel.memo) <= 7
+
+    def test_memo_of_an_exhausted_grid_stays_small(self):
+        """Every cell of the exhausting 16^4 four-link grid memoises 16 +
+        256 + 4,096 prefixes in under 1.2 MB, about 280 B each."""
+        sc = four_link_scene(16, block_angles=(90,))
+        kernel = sc.robot.cell_kernel(sc.grid, sc.prepared())
+        order = np.random.default_rng(0).permutation(sc.grid.size).tolist()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for lin in order:
+                kernel(lin)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert [len(level) for level in kernel.memo] == [16, 256, 4096]
+        assert peak <= 1_200_000
+
+    def test_grid_beyond_joint_limits_is_refused(self):
+        chain = SerialChain((0, 0), [1.0, 1.0], [None, (0.0, 1.0)])
+        spec = GridSpec((4, 4), (True, False), (0.0, 0.0), (TWO_PI, 2.0))
+        with pytest.raises(InvalidConfiguration):
+            chain.cell_kernel(spec, PreparedObstacles([]))
+
+    def test_rigid_body_kernel_matches_reference(self):
+        rng = np.random.default_rng(25)
+        seen = Counter()
+        for _ in range(6):
+            body = regular_polygon(0.0, 0.0, rng.uniform(0.1, 0.4), int(rng.integers(3, 8)))
+            robot = RigidSE2(body, Point2(0.0, 0.0))
+            spec = se2_grid(((-1.0, 1.0), (-1.0, 1.0)), [9, 7, 12])
+            obs = PreparedObstacles([square(*rng.uniform(-0.8, 0.8, 2), 0.2) for _ in range(3)])
+            seen.update(type(c).__name__ for c in assert_kernel_matches(robot, spec, obs, 0))
+        assert min(seen[k] for k in ("BaseInObstacle", "ObstacleHit", "NoneType")) >= 30, seen

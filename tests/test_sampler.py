@@ -433,7 +433,8 @@ class TestSamplingIteration:
         bm = CSpaceBitmap(spec)
         ss = SampleSet(spec.size)
         stats = sample_obstacle_cells(
-            bm, ss, chain, obs, SamplerParams(7, 2), np.random.default_rng(0)
+            bm, ss, chain, chain.cell_kernel(spec, obs), SamplerParams(7, 2),
+            np.random.default_rng(0),
         )
         assert stats.hits == 7
         assert stats.checks >= stats.hits
@@ -447,7 +448,7 @@ class TestSamplingIteration:
         ss = SampleSet(sc.grid.size)
         rng = np.random.default_rng(5)
         stats = sample_obstacle_cells(
-            bm, ss, sc.robot, sc.prepared(), SamplerParams(3, 4), rng
+            bm, ss, sc.robot, sc.robot.cell_kernel(sc.grid, sc.prepared()), SamplerParams(3, 4), rng
         )
         assert stats.propagated > 0
         marked = [lin for lin in range(sc.grid.size) if not bm.is_free(lin)]
@@ -467,7 +468,8 @@ class TestSamplingIteration:
             bm = CSpaceBitmap(spec)
             ss = SampleSet(spec.size)
             stats = sample_obstacle_cells(
-                bm, ss, chain, obs, SamplerParams(4, 2), np.random.default_rng(seed)
+                bm, ss, chain, chain.cell_kernel(spec, obs), SamplerParams(4, 2),
+                np.random.default_rng(seed),
             )
             return bm.digest(), stats.hits, stats.checks, stats.propagated
 
@@ -480,7 +482,7 @@ class TestSamplingIteration:
         bm = CSpaceBitmap(spec)
         ss = SampleSet(spec.size)
         stats = sample_obstacle_cells(
-            bm, ss, chain, PreparedObstacles([]), SamplerParams(1, 2),
+            bm, ss, chain, chain.cell_kernel(spec, PreparedObstacles([])), SamplerParams(1, 2),
             np.random.default_rng(0),
         )
         assert stats.hits == 0
@@ -489,13 +491,15 @@ class TestSamplingIteration:
         assert bm.free_count() == 16
 
     def test_neighbor_budget_bounded_by_moore_size(self):
-        chain, obs, _ = all_hit_scene()
+        _, obs, _ = all_hit_scene()
+        chain = SerialChain((0, 0), [(1.0, 0.05), (0.5, 0.05)])
         spec = torus([8, 8])
         bm = CSpaceBitmap(spec)
         ss = SampleSet(spec.size)
         with pytest.raises(ValidationError):
             sample_obstacle_cells(
-                bm, ss, chain, obs, SamplerParams(1, 9), np.random.default_rng(0)
+                bm, ss, chain, chain.cell_kernel(spec, obs), SamplerParams(1, 9),
+                np.random.default_rng(0),
             )
 
     def test_zero_neighbor_checks_allowed(self):
@@ -503,7 +507,8 @@ class TestSamplingIteration:
         bm = CSpaceBitmap(spec)
         ss = SampleSet(spec.size)
         stats = sample_obstacle_cells(
-            bm, ss, chain, obs, SamplerParams(3, 0), np.random.default_rng(0)
+            bm, ss, chain, chain.cell_kernel(spec, obs), SamplerParams(3, 0),
+            np.random.default_rng(0),
         )
         assert stats.hits == 3
 
