@@ -54,7 +54,6 @@ from .sampler import (
     IterationStats,
     SamplerParams,
     SampleSet,
-    cells_implied_by,
     propagate,
     sample_obstacle_cells,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "ValidationError",
     "Verdict",
     "cell_to_config",
-    "cells_implied_by",
     "chain_grid",
     "config_to_cell",
     "lin_to_multi",

@@ -107,9 +107,10 @@ def cmd_prove(args) -> int:
             f"PGM export needs a 2D grid, scenario has {scenario.grid.ndim} axes"
         )
     verdict = _prove(args, scenario, args.seed)
-    print(verdict.to_json(indent=2))
+    # Exported first, so that a failed write prints only the error line.
     if path and verdict.bitmap is not None:
         _export(verdict.bitmap, path)
+    print(verdict.to_json(indent=2))
     return _exit_code(verdict.kind)
 
 

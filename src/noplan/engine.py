@@ -43,7 +43,6 @@ class Verdict:
     """Outcome of a proof run plus enough evidence to re-verify it."""
 
     kind: str
-    iterations: int
     stats: list = field(default_factory=list)
     labels: LabelField = None
     digest: str = None
@@ -51,6 +50,11 @@ class Verdict:
     elapsed: float = 0.0
     segmentation_time: float = 0.0
     detail: str = ""
+
+    @property
+    def iterations(self) -> int:
+        """Sampling iterations run: each appends its ``IterationStats``."""
+        return len(self.stats)
 
     @property
     def component_count(self) -> int:
@@ -146,7 +150,6 @@ def prove_infeasibility(
             if robot.collision_check(probe, obstacles).colliding:
                 return Verdict(
                     kind=START_OR_GOAL_IN_OBSTACLE,
-                    iterations=0,
                     elapsed=time.perf_counter() - t0,
                     detail=f"{label} configuration or its cell center collides",
                 )
@@ -161,7 +164,6 @@ def prove_infeasibility(
     def verdict(kind, detail, labels=None):
         return Verdict(
             kind=kind,
-            iterations=iteration,
             stats=stats_list,
             labels=labels,
             digest=bm.digest(),

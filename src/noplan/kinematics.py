@@ -95,6 +95,31 @@ def _raws_hit_obstacle(raws, box, obs: PreparedObstacles):
     return None
 
 
+def _link_body(jx, jy, angle, link):
+    """The one copy of a link's geometry, for ``link_bodies`` and
+    ``ChainCells``: the link hinged at (jx, jy) at a world angle, as
+    ((raws, bounding box), end x, end y)."""
+    c, s = math.cos(angle), math.sin(angle)
+    ex, ey = jx + link.length * c, jy + link.length * s
+    hx, hy = -s * 0.5 * link.width, c * 0.5 * link.width
+    x0, y0 = jx + hx, jy + hy
+    x1, y1 = jx - hx, jy - hy
+    x2, y2 = ex - hx, ey - hy
+    x3, y3 = ex + hx, ey + hy
+    raws = ((x0, y0, x1, y1, x2, y2), (x0, y0, x2, y2, x3, y3))
+    box = (min(x0, x1, x2, x3), min(y0, y1, y2, y3), max(x0, x1, x2, x3), max(y0, y1, y2, y3))
+    return (raws, box), ex, ey
+
+
+def _bodies_touch(a, b) -> bool:
+    """Whether two (raws, box) link bodies touch: the self test of
+    ``collision_check`` and ``ChainCells``."""
+    (raws_a, ba), (raws_b, bb) = a, b
+    if ba[2] < bb[0] or bb[2] < ba[0] or ba[3] < bb[1] or bb[3] < ba[1]:
+        return False
+    return any(raw_tri_intersects(ra, rb) for ra in raws_a for rb in raws_b)
+
+
 @dataclass(frozen=True)
 class Link:
     length: float
@@ -175,47 +200,27 @@ class SerialChain:
                     f"joint {i + 1}: angle {q[i]} outside limits [{lim[0]}, {lim[1]}]"
                 )
 
-    def link_raws(self, q) -> list:
-        """Per-link triangle soups (two raw triangles per rectangle)."""
+    def link_bodies(self, q) -> list:
+        """Per-link (raws, bounding box): two raw triangles per rectangle."""
         self._validate(q)
         out = []
-        angle = 0.0
-        jx, jy = self.base.x, self.base.y
+        angle, jx, jy = 0.0, self.base.x, self.base.y
         for k, link in enumerate(self.links):
             angle += q[k]
-            c, s = math.cos(angle), math.sin(angle)
-            ex, ey = jx + link.length * c, jy + link.length * s
-            hx, hy = -s * 0.5 * link.width, c * 0.5 * link.width
-            p0 = (jx + hx, jy + hy)
-            p1 = (jx - hx, jy - hy)
-            p2 = (ex - hx, ey - hy)
-            p3 = (ex + hx, ey + hy)
-            out.append(
-                [
-                    (p0[0], p0[1], p1[0], p1[1], p2[0], p2[1]),
-                    (p0[0], p0[1], p2[0], p2[1], p3[0], p3[1]),
-                ]
-            )
-            jx, jy = ex, ey
+            body, jx, jy = _link_body(jx, jy, angle, link)
+            out.append(body)
         return out
 
     def collision_check(self, q, obs: PreparedObstacles) -> CollisionReport:
-        per_link = self.link_raws(q)
-        boxes = [_raws_bbox(raws) for raws in per_link]
-        for k, raws in enumerate(per_link):
-            oi = _raws_hit_obstacle(raws, boxes[k], obs)
+        bodies = self.link_bodies(q)
+        for k, body in enumerate(bodies):
+            oi = _raws_hit_obstacle(*body, obs)
             if oi is not None:
                 return CollisionReport(ObstacleHit(k + 1, oi))
         for i in range(self.dof):
-            bi = boxes[i]
             for j in range(i + 2, self.dof):
-                bj = boxes[j]
-                if bi[2] < bj[0] or bj[2] < bi[0] or bi[3] < bj[1] or bj[3] < bi[1]:
-                    continue
-                for ra in per_link[i]:
-                    for rb in per_link[j]:
-                        if raw_tri_intersects(ra, rb):
-                            return CollisionReport(SelfHit(i + 1, j + 1))
+                if _bodies_touch(bodies[i], bodies[j]):
+                    return CollisionReport(SelfHit(i + 1, j + 1))
         return FREE
 
     def cell_kernel(self, spec, obs: PreparedObstacles) -> "ChainCells":
@@ -227,29 +232,6 @@ class SerialChain:
 # outgrows it. The 16^3 prefixes of a 16^4 grid fit; on a four-link chain
 # an entry costs about 230 B, its share of the levels above included.
 MEMO_CELLS = 1 << 13
-
-
-def _link_body(jx, jy, angle, link):
-    """``link_raws``' arithmetic for one link hinged at (jx, jy) at a world
-    angle: ((raws, bounding box), end x, end y)."""
-    c, s = math.cos(angle), math.sin(angle)
-    ex, ey = jx + link.length * c, jy + link.length * s
-    hx, hy = -s * 0.5 * link.width, c * 0.5 * link.width
-    x0, y0 = jx + hx, jy + hy
-    x1, y1 = jx - hx, jy - hy
-    x2, y2 = ex - hx, ey - hy
-    x3, y3 = ex + hx, ey + hy
-    raws = ((x0, y0, x1, y1, x2, y2), (x0, y0, x2, y2, x3, y3))
-    box = (min(x0, x1, x2, x3), min(y0, y1, y2, y3), max(x0, x1, x2, x3), max(y0, y1, y2, y3))
-    return (raws, box), ex, ey
-
-
-def _bodies_touch(a, b) -> bool:
-    """``collision_check``'s self test of two (raws, box) link bodies."""
-    (raws_a, ba), (raws_b, bb) = a, b
-    if ba[2] < bb[0] or bb[2] < ba[0] or ba[3] < bb[1] or bb[3] < ba[1]:
-        return False
-    return any(raw_tri_intersects(ra, rb) for ra in raws_a for rb in raws_b)
 
 
 class ChainCells:

@@ -119,6 +119,14 @@ class TestProve:
         loaded = CSpaceBitmap.load(target)
         assert loaded.digest() == json.loads(out)["bitmap_sha256"]
 
+    def test_unwritable_export_prints_only_the_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "proof.bin"
+        code, out = run(
+            capsys, "prove", THREE_BANDS, "--seed", "0", "--export-bitmap", str(target),
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "OSError"
+
     def test_pgm_export_of_non_2d_grid_fails_before_proving(self, capsys, tmp_path):
         target = tmp_path / "proof.pgm"
         code, out = run(

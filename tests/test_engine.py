@@ -358,7 +358,7 @@ class TestVerdictSerialization:
         assert data["per_iteration"][0]["hits"] >= 0
 
     def test_obstacle_verdict_serializes_without_grid(self):
-        verdict = Verdict(kind=START_OR_GOAL_IN_OBSTACLE, iterations=0)
+        verdict = Verdict(kind=START_OR_GOAL_IN_OBSTACLE)
         data = json.loads(verdict.to_json())
         assert data["grid"] is None
         assert data["component_count"] is None

@@ -29,9 +29,14 @@ from noplan.scenario_io import chain_grid, se2_grid
 from support import four_link_scene, regular_polygon, square
 
 
+def link_raws(chain, q):
+    """Per-link triangle soups of the chain at q."""
+    return [raws for raws, _ in chain.link_bodies(q)]
+
+
 def tip(chain, q):
     """Far-edge midpoint of the last link rectangle."""
-    r = chain.link_raws(q)[-1][1]
+    r = link_raws(chain, q)[-1][1]
     return (r[2] + r[4]) / 2, (r[3] + r[5]) / 2
 
 
@@ -100,24 +105,24 @@ class TestForwardKinematics:
 
     def test_rectangle_has_link_width(self):
         chain = SerialChain(Point2(0, 0), [(1.0, 0.2)])
-        raws = chain.link_raws((0.0,))[0]
+        raws = link_raws(chain, (0.0,))[0]
         ys = [r[i] for r in raws for i in (1, 3, 5)]
         assert min(ys) == pytest.approx(-0.1)
         assert max(ys) == pytest.approx(0.1)
 
     def test_placement_covers_all_links(self):
-        raws = unit_chain(3).link_raws((0.1, 0.2, 0.3))
+        raws = link_raws(unit_chain(3), (0.1, 0.2, 0.3))
         assert [len(r) for r in raws] == [2, 2, 2]
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(InvalidConfiguration):
-            unit_chain(2).link_raws((0.0,))
+            unit_chain(2).link_bodies((0.0,))
 
     def test_limits_enforced(self):
         chain = SerialChain(Point2(0, 0), [1.0], joint_limits=[(-1.0, 1.0)])
         with pytest.raises(InvalidConfiguration):
-            chain.link_raws((1.5,))
-        chain.link_raws((1.0,))
+            chain.link_bodies((1.5,))
+        chain.link_bodies((1.0,))
 
 
 class TestTruncation:
@@ -144,8 +149,8 @@ class TestTruncation:
         full = unit_chain(3)
         cut = full.truncated(2)
         q = (0.3, -0.7, 1.1)
-        full_raws = [r for raws in full.link_raws(q) for r in raws]
-        cut_raws = [r for raws in cut.link_raws(q[:2]) for r in raws]
+        full_raws = [r for raws in link_raws(full, q) for r in raws]
+        cut_raws = [r for raws in link_raws(cut, q[:2]) for r in raws]
         assert all(r in full_raws for r in cut_raws)
 
 
@@ -287,7 +292,7 @@ def soups_touch(raws_a, raws_b):
 
 def all_pairs_chain_cause(chain, q, obs):
     """The cause collision_check must report, found without bounding boxes."""
-    per_link = chain.link_raws(q)
+    per_link = link_raws(chain, q)
     for k, raws in enumerate(per_link):
         for oi, tris in enumerate(obs.tri_raws):
             if soups_touch(raws, tris):
@@ -356,7 +361,7 @@ class TestPrefilters:
                 [(rng.uniform(0.2, 1.0), rng.uniform(0.02, 0.15)) for _ in range(n)],
             )
             q = tuple(rng.uniform(0.0, 2 * math.pi, n))
-            per_link = chain.link_raws(q)
+            per_link = link_raws(chain, q)
             obs = PreparedObstacles([
                 abutting_square(rng, per_link[int(rng.integers(n))])
                 for _ in range(int(rng.integers(0, 4)))
@@ -443,7 +448,7 @@ def chains_on_grids(draw):
         limits,
     )
     spec = chain_grid(chain, dims)
-    per_link = chain.link_raws(cell_to_config(spec, lin_to_multi(spec, int(rng.integers(spec.size)))))
+    per_link = link_raws(chain, cell_to_config(spec, lin_to_multi(spec, int(rng.integers(spec.size)))))
     obs = PreparedObstacles([
         abutting_square(rng, per_link[int(rng.integers(n))]) for _ in range(int(rng.integers(0, 4)))
     ])
