@@ -66,10 +66,13 @@ class GridSpec:
     def step(self, axis: int) -> float:
         return (self.hi[axis] - self.lo[axis]) / self.dims[axis]
 
+    def centre(self, axis: int, m: int) -> float:
+        """Coordinate of the centre of cell ``m`` on one axis."""
+        return self.lo[axis] + (m + 0.5) * self.step(axis)
+
     def centres(self, axis: int) -> tuple:
-        """Coordinate of each cell centre on one axis, the same float
-        ``cell_to_config`` computes."""
-        return tuple(self.lo[axis] + (m + 0.5) * self.step(axis) for m in range(self.dims[axis]))
+        """Coordinate of each cell centre on one axis."""
+        return tuple(self.centre(axis, m) for m in range(self.dims[axis]))
 
     def prefix(self, k: int) -> "GridSpec":
         """The grid on the first ``k`` axes."""
@@ -112,7 +115,7 @@ def cell_to_config(spec: GridSpec, multi) -> tuple:
         m = multi[axis]
         if not 0 <= m < spec.dims[axis]:
             raise OutOfRange(f"axis {axis}: index {m} outside [0, {spec.dims[axis]})")
-        q.append(spec.lo[axis] + (m + 0.5) * spec.step(axis))
+        q.append(spec.centre(axis, m))
     return tuple(q)
 
 

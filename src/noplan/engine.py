@@ -9,6 +9,7 @@ bitmap is exact and the verdict is final either way.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -32,6 +33,8 @@ from .segmentation import LabelField, project, segment, segment_check
 # bitmap, the visited bit, the dense grid and the int32 labels take 42; the
 # rest is the arrays of one wrap seam plane, a larger share on coarser grids.
 BITS_PER_CELL = 46
+# Most check workers, one process each, a proof forks: far above any host's cores.
+MAX_THREADS = 64
 
 INFEASIBLE = "Infeasible"
 FEASIBLE_AT_RESOLUTION = "FeasibleAtResolution"
@@ -123,16 +126,20 @@ def prove_infeasibility(
     """Run the proof loop on a scenario and return a Verdict.
 
     ``segment_every`` trades segmentation work for later detection;
-    segmentation always runs on exhaustion. ``timeout`` (seconds, checked
-    at iteration boundaries) raises EngineTimeout; it exists for benchmark
-    harnesses, an untimed run always terminates on its own.
+    segmentation always runs on exhaustion. ``threads`` check workers, at
+    most ``MAX_THREADS``, share the collision checks; one checks in this
+    process. ``timeout`` (seconds, checked at iteration boundaries) raises
+    EngineTimeout; it exists for benchmark harnesses, an untimed run always
+    terminates on its own.
     """
     if params is None:
         params = SamplerParams()
     if segment_every < 1:
         raise ValidationError("segment_every must be at least 1")
-    if threads < 1:
-        raise ValidationError("threads must be at least 1")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValidationError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
+    if timeout is not None and not 0 <= timeout < math.inf:
+        raise ValidationError(f"timeout must be finite and at least 0, got {timeout}")
     try:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -159,7 +166,6 @@ def prove_infeasibility(
     ss = SampleSet(spec.size)
     stats_list = []
     seg_time = 0.0
-    pool = kernel = None
 
     def verdict(kind, detail, labels=None):
         return Verdict(
@@ -173,19 +179,14 @@ def prove_infeasibility(
             detail=detail,
         )
 
+    pool = CheckPool(threads, robot, obstacles, spec)
     try:
-        if threads > 1:
-            pool = CheckPool(threads, robot, obstacles, spec)
-        else:
-            kernel = robot.cell_kernel(spec, obstacles)
+        sample = sample_obstacle_cells_parallel if threads > 1 else sample_obstacle_cells
         iteration = 0
         while True:
             iteration += 1
             it_t0 = time.perf_counter()
-            if pool is None:
-                st = sample_obstacle_cells(bm, ss, robot, kernel, params, rng)
-            else:
-                st = sample_obstacle_cells_parallel(bm, ss, robot, pool, params, rng)
+            st = sample(bm, ss, robot, pool, params, rng)
             st.iteration, st.elapsed = iteration, time.perf_counter() - it_t0
             stats_list.append(st)
             exhausted = ss.size == 0
@@ -222,6 +223,4 @@ def prove_infeasibility(
                     f"no verdict after {iteration} iterations within {timeout} s"
                 )
     finally:
-        kernel = None  # its memo ends with the proof, also one that raised
-        if pool is not None:
-            pool.close()
+        pool.close()  # the kernel's memo ends with the proof, also one that raised

@@ -1,5 +1,7 @@
-"""Test-only ground truth: exhaustive bitmaps, BFS connectivity, and the
-fine-versus-coarse equivalence check.
+"""The reference the tests check the fast paths against: exhaustive
+bitmaps, BFS connectivity, and the fine-versus-coarse equivalence check.
+``noplan render`` also uses ``brute_force_bitmap`` for the exact bitmap of
+a 2-D scenario.
 
 Everything here is deliberately independent of the fast paths it verifies:
 labeling is a hand-rolled breadth-first flood fill, not the production

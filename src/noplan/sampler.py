@@ -285,12 +285,6 @@ def propagate(bm: CSpaceBitmap, ss: SampleSet, robot, linear: int, cause) -> int
 CELLS_PER_WORKER = 256
 
 
-def _check_cell(kernel, linear: int) -> object:
-    """Collision cause at a cell's center (None = free), from the proof's
-    cell kernel (``robot.cell_kernel``)."""
-    return kernel(linear)
-
-
 def _serve(conn, robot, obstacles, spec: GridSpec):
     """A check worker: answer each list of linear indices with the list of
     their causes, or with the exception checking them raised."""
@@ -301,28 +295,35 @@ def _serve(conn, robot, obstacles, spec: GridSpec):
         except EOFError:  # the pool closed its end
             return
         try:
-            conn.send([_check_cell(kernel, lin) for lin in lins])
+            conn.send([kernel(lin) for lin in lins])
         except Exception as exc:  # the pool re-raises it
             conn.send(exc)
 
 
 class CheckPool:
-    """Worker processes that collision-check cells for one proof.
+    """Collision-checks cells for one proof, with one worker or many.
 
-    Each worker is a process with a pipe of its own. The workers get the
-    robot, obstacles and grid once, when they are forked, and then only
-    lists of linear cell indices. The cells that agree on every axis but
-    the last go to one worker, so the workers' kernel memos are disjoint.
-    ``close`` ends and reaps them.
+    One worker checks in this process, a cell at a time, through the
+    proof's ``robot.cell_kernel``, and forks nothing. More workers are
+    processes with a pipe each. They get the robot, obstacles and grid once,
+    when they are forked, and then only lists of linear cell indices. The
+    cells that agree on every axis but the last go to one worker, so the
+    workers' kernel memos are disjoint. ``close`` drops the kernel, so its
+    memo ends with the proof, and ends and reaps the workers.
     """
 
     def __init__(self, workers: int, robot, obstacles, spec: GridSpec):
         self.workers = workers
+        self._kernel = None
+        self._conns = []
+        self._procs = []
+        if workers == 1:
+            self.batch_size = 1
+            self._kernel = robot.cell_kernel(spec, obstacles)
+            return
         self.batch_size = CELLS_PER_WORKER * workers
         # On one axis no memo is shared, so the cells themselves spread.
         self._prefix = spec.strides()[-1] if spec.ndim > 1 else spec.size
-        self._conns = []
-        self._procs = []
         # Fork: the workers start without re-importing numpy or pickling
         # the robot, and the prover starts no thread a fork could copy.
         ctx = multiprocessing.get_context("fork")
@@ -340,6 +341,8 @@ class CheckPool:
 
     def check(self, lins) -> list:
         """Collision cause of each cell, in the order given (None = free)."""
+        if self._kernel is not None:
+            return [self._kernel(lin) for lin in lins]
         lins = np.asarray(lins, dtype=np.int64)
         owner = lins % self._prefix % self.workers
         sent = []
@@ -362,6 +365,7 @@ class CheckPool:
         return causes
 
     def close(self):
+        self._kernel = None
         for proc in self._procs:
             proc.terminate()
         for proc in self._procs:
@@ -393,10 +397,9 @@ def sample_obstacle_cells(
     bm: CSpaceBitmap,
     ss: SampleSet,
     robot,
-    kernel,
+    pool: CheckPool,
     params: SamplerParams,
     rng: np.random.Generator,
-    pool: CheckPool = None,
 ) -> IterationStats:
     """One sampling iteration: draw until ``min_hits`` collision hits.
 
@@ -409,13 +412,12 @@ def sample_obstacle_cells(
     visited by the time it is taken is skipped, not replaced, and neighbor
     hits do not count toward the quota.
 
-    In this process ``kernel``, the proof's ``robot.cell_kernel``, checks
-    batches of one cell, so each cell taken sees the propagation of every
-    hit before it; ``pool`` checks batches of
-    ``pool.batch_size`` cells. A covered hit is only marked: without the
-    batch it could not have been taken. A batch is applied whole, so a
-    pooled iteration may end past the quota. The iteration ends short of
-    the quota when every cell has been visited.
+    Batches hold ``pool.batch_size`` cells. With one worker that is one
+    cell, so each cell taken sees the propagation of every hit before it.
+    A covered hit is only marked: without the batch it could not have been
+    taken. A batch is applied whole, so a pooled iteration may end past the
+    quota. The iteration ends short of the quota when every cell has been
+    visited.
     """
     spec = bm.spec
     if params.neighbor_checks > 3**spec.ndim - 1:
@@ -424,14 +426,11 @@ def sample_obstacle_cells(
             f"size {3**spec.ndim - 1}"
         )
     stats = IterationStats()
-    batch = pool.batch_size if pool else 1
+    batch = pool.batch_size
 
     def check(lins) -> list:
         """Check a batch and apply its hits; returns the propagated ones."""
-        if pool is None:
-            causes = [_check_cell(kernel, lin) for lin in lins]
-        else:
-            causes = pool.check(lins)
+        causes = pool.check(lins)
         stats.checks += len(lins)
         hits = [(lin, cause) for lin, cause in zip(lins, causes) if cause is not None]
         # A lone hit has no earlier slice to lie in.
@@ -461,14 +460,6 @@ def sample_obstacle_cells(
     return stats
 
 
-def sample_obstacle_cells_parallel(
-    bm: CSpaceBitmap,
-    ss: SampleSet,
-    robot,
-    pool: CheckPool,
-    params: SamplerParams,
-    rng: np.random.Generator,
-) -> IterationStats:
-    """``sample_obstacle_cells`` with the checks made by ``pool``; a name of
-    its own lets a profile tell pooled iterations from in-process ones."""
-    return sample_obstacle_cells(bm, ss, robot, None, params, rng, pool)
+# A second name for the same function, so that a profile can tell the
+# engine's pooled iterations from its in-process ones.
+sample_obstacle_cells_parallel = sample_obstacle_cells

@@ -227,6 +227,8 @@ def _robot(data) -> object:
 
 def _grid(data, robot, obstacles) -> GridSpec:
     data = data or {}
+    if not isinstance(data, dict):
+        raise ParseError("grid: must be a mapping")
     if robot.kind == "rigid_se2":
         workspace = _require(data, "workspace", "grid")
         dims = _require(data, "dims", "grid")

@@ -16,6 +16,7 @@ from noplan.bitmap import (
     neighbors,
 )
 from noplan.errors import IncompatibleGrids, OutOfBounds, OutOfRange, ValidationError
+from noplan.scenario_io import se2_grid
 
 from support import grid_and_cell
 
@@ -106,6 +107,21 @@ class TestCellConfigMapping:
         g = grid([10])
         with pytest.raises(OutOfBounds):
             config_to_cell(g, (1.5,))
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(grid([7], [True], [-math.pi], [math.pi]), id="pi-7"),
+        pytest.param(grid([13, 7], [True, True], [-math.pi] * 2, [math.pi] * 2), id="pi-13x7"),
+        pytest.param(se2_grid([[0.0, 6.7], [0.0, 3.9]], [67, 39, 72]), id="se2"),
+        pytest.param(se2_grid([[0.0, 6.7], [0.0, 3.9]], [134, 78, 144]), id="se2-2x"),
+        pytest.param(grid([11, 3], lo=[-0.3, 1e-3], hi=[0.7, 0.1]), id="awkward"),
+    ])
+    def test_centres_are_the_cell_centre_floats(self, g):
+        # The kernels read centres(), the reference reads cell_to_config():
+        # the two must be the same float, not merely close.
+        for axis in range(g.ndim):
+            for m, centre in enumerate(g.centres(axis)):
+                multi = tuple(m if a == axis else 0 for a in range(g.ndim))
+                assert centre == cell_to_config(g, multi)[axis]
 
 
 def moore(spec, multi) -> list:

@@ -186,6 +186,7 @@ class TestProve:
         pytest.param(THREE_BANDS, "base: [0.0, 0.0]",
                      "base: [0.0, 0.0]\n  joint_limits: [null, [0.0, .inf]]", id="limit-inf"),
         pytest.param(THREE_BANDS, "dims: [36, 36]", "delta: 1.0e-320", id="delta-overflows"),
+        pytest.param(THREE_BANDS, "grid:\n  dims: [36, 36]", "grid: [36, 36]", id="grid-list"),
         pytest.param(RIGID_WALL, "workspace: [[0.0, 6.7], [0.0, 3.9]]",
                      "workspace: [[0.0, .inf], [0.0, 3.9]]", id="workspace-inf"),
     ])
@@ -239,6 +240,7 @@ class TestBench:
 
     @pytest.mark.parametrize("flag, value", [
         ("--threads", "0"), ("--ns", "0"), ("--segment-every", "0"), ("--d", "9"),
+        ("--timeout", "nan"), ("--timeout", "-1"),
     ])
     def test_invalid_flag_prints_only_the_error(self, capsys, flag, value):
         code = main(["bench", THREE_BANDS, "--trials", "2", flag, value])

@@ -90,7 +90,7 @@ class TestVerdicts:
         sc = three_band_scene(36)
         goal = multi_to_lin(sc.grid, config_to_cell(sc.grid, sc.goal))
 
-        def mark_goal(bm, ss, robot, kernel, params, rng):
+        def mark_goal(bm, ss, robot, pool, params, rng):
             bm.set_obstacle(goal)
             return IterationStats(hits=1, checks=1, propagated=0)
 
@@ -298,16 +298,59 @@ class TestParallel:
             pool.close()
         assert multiprocessing.active_children() == []
 
+    def test_one_worker_checks_in_process(self):
+        sc = four_link_scene(6, block_angles=(90,))
+        obs = sc.prepared()
+        kernel = sc.robot.cell_kernel(sc.grid, obs)
+        lins = np.random.default_rng(0).permutation(sc.grid.size)[:500].tolist()
+        pool = CheckPool(1, sc.robot, obs, sc.grid)
+        try:
+            assert pool.batch_size == 1
+            assert multiprocessing.active_children() == []
+            assert pool.check(lins) == [kernel(lin) for lin in lins]
+            assert multiprocessing.active_children() == []
+        finally:
+            pool.close()
+
+    def test_close_drops_the_kernel(self):
+        sc = four_link_scene(6, block_angles=(90,))
+        pool = CheckPool(1, sc.robot, sc.prepared(), sc.grid)
+        pool.check(range(50))
+        ref = weakref.ref(pool._kernel)
+        gc.disable()
+        try:
+            pool.close()
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_thread_count_is_bounded_before_any_fork(self, monkeypatch):
+        def no_fork(method=None):
+            raise AssertionError("a process was about to start")
+
+        monkeypatch.setattr(sampler.multiprocessing, "get_context", no_fork)
+        with pytest.raises(ValidationError, match="threads"):
+            prove_infeasibility(empty_scene(), seed=0, threads=10**6)
+        assert engine.MAX_THREADS >= 4
+        # The bound itself is allowed: the proof gets as far as the fork.
+        with pytest.raises(AssertionError, match="about to start"):
+            prove_infeasibility(empty_scene(), seed=0, threads=engine.MAX_THREADS)
+
     def test_worker_error_is_raised_in_the_caller(self, monkeypatch):
         # No cell of the empty scene collides, so every cell gets checked.
-        check = sampler._check_cell
+        build = SerialChain.cell_kernel
 
-        def failing(kernel, lin):
-            if lin == 17:
-                raise ValidationError("cell 17")
-            return check(kernel, lin)
+        def failing(robot, spec, obs):
+            kernel = build(robot, spec, obs)
 
-        monkeypatch.setattr(sampler, "_check_cell", failing)
+            def check(lin):
+                if lin == 17:
+                    raise ValidationError("cell 17")
+                return kernel(lin)
+
+            return check
+
+        monkeypatch.setattr(SerialChain, "cell_kernel", failing)
         with pytest.raises(ValidationError, match="cell 17"):
             prove_infeasibility(empty_scene(), SamplerParams(10, 3), seed=4, threads=2)
         assert multiprocessing.active_children() == []

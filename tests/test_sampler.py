@@ -17,6 +17,7 @@ from noplan.kinematics import (
     SerialChain,
 )
 from noplan.sampler import (
+    CheckPool,
     SamplerParams,
     SampleSet,
     _covered_hits,
@@ -433,7 +434,7 @@ class TestSamplingIteration:
         bm = CSpaceBitmap(spec)
         ss = SampleSet(spec.size)
         stats = sample_obstacle_cells(
-            bm, ss, chain, chain.cell_kernel(spec, obs), SamplerParams(7, 2),
+            bm, ss, chain, CheckPool(1, chain, obs, spec), SamplerParams(7, 2),
             np.random.default_rng(0),
         )
         assert stats.hits == 7
@@ -448,7 +449,8 @@ class TestSamplingIteration:
         ss = SampleSet(sc.grid.size)
         rng = np.random.default_rng(5)
         stats = sample_obstacle_cells(
-            bm, ss, sc.robot, sc.robot.cell_kernel(sc.grid, sc.prepared()), SamplerParams(3, 4), rng
+            bm, ss, sc.robot, CheckPool(1, sc.robot, sc.prepared(), sc.grid), SamplerParams(3, 4),
+            rng,
         )
         assert stats.propagated > 0
         marked = [lin for lin in range(sc.grid.size) if not bm.is_free(lin)]
@@ -468,7 +470,7 @@ class TestSamplingIteration:
             bm = CSpaceBitmap(spec)
             ss = SampleSet(spec.size)
             stats = sample_obstacle_cells(
-                bm, ss, chain, chain.cell_kernel(spec, obs), SamplerParams(4, 2),
+                bm, ss, chain, CheckPool(1, chain, obs, spec), SamplerParams(4, 2),
                 np.random.default_rng(seed),
             )
             return bm.digest(), stats.hits, stats.checks, stats.propagated
@@ -482,7 +484,7 @@ class TestSamplingIteration:
         bm = CSpaceBitmap(spec)
         ss = SampleSet(spec.size)
         stats = sample_obstacle_cells(
-            bm, ss, chain, chain.cell_kernel(spec, PreparedObstacles([])), SamplerParams(1, 2),
+            bm, ss, chain, CheckPool(1, chain, PreparedObstacles([]), spec), SamplerParams(1, 2),
             np.random.default_rng(0),
         )
         assert stats.hits == 0
@@ -498,7 +500,7 @@ class TestSamplingIteration:
         ss = SampleSet(spec.size)
         with pytest.raises(ValidationError):
             sample_obstacle_cells(
-                bm, ss, chain, chain.cell_kernel(spec, obs), SamplerParams(1, 9),
+                bm, ss, chain, CheckPool(1, chain, obs, spec), SamplerParams(1, 9),
                 np.random.default_rng(0),
             )
 
@@ -507,7 +509,7 @@ class TestSamplingIteration:
         bm = CSpaceBitmap(spec)
         ss = SampleSet(spec.size)
         stats = sample_obstacle_cells(
-            bm, ss, chain, chain.cell_kernel(spec, obs), SamplerParams(3, 0),
+            bm, ss, chain, CheckPool(1, chain, obs, spec), SamplerParams(3, 0),
             np.random.default_rng(0),
         )
         assert stats.hits == 3
