@@ -22,10 +22,11 @@ from .sampler import (
     CheckPool,
     SamplerParams,
     SampleSet,
+    integer,
     sample_obstacle_cells,
     sample_obstacle_cells_parallel,
 )
-from .segmentation import LabelField, project, segment, segment_check
+from .segmentation import CONNECTIVITIES, LabelField, project, segment, segment_check
 
 # Bits a proof holds per cell at its peak. Peak RSS of four_link_bands
 # chain proofs grows by at most 45.6 bits per cell between two grid sizes
@@ -134,10 +135,12 @@ def prove_infeasibility(
     """
     if params is None:
         params = SamplerParams()
-    if segment_every < 1:
+    if integer("segment_every", segment_every) < 1:
         raise ValidationError("segment_every must be at least 1")
-    if not 1 <= threads <= MAX_THREADS:
+    if not 1 <= integer("threads", threads) <= MAX_THREADS:
         raise ValidationError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
+    if connectivity not in CONNECTIVITIES:
+        raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity!r}")
     if timeout is not None and not 0 <= timeout < math.inf:
         raise ValidationError(f"timeout must be finite and at least 0, got {timeout}")
     try:

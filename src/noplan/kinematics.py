@@ -227,10 +227,10 @@ class SerialChain:
         return ChainCells(self, spec, obs)
 
 
-# Entries the deepest level of a ChainCells memo holds before every level
-# starts over; a level above gains an entry only with one below, so none
-# outgrows it. The 16^3 prefixes of a 16^4 grid fit; on a four-link chain
-# an entry costs about 230 B, its share of the levels above included.
+# Entries each level of a ChainCells memo holds before it starts over by
+# itself. The 16^3 prefixes of a 16^4 grid fit; on a four-link chain an
+# entry of the deepest level costs about 230 B, its share of the levels
+# above included.
 MEMO_CELLS = 1 << 13
 
 
@@ -245,7 +245,8 @@ class ChainCells:
     prefix to the cause found up to the link: an ``ObstacleHit``, which no
     later link can change, or (world angle, end x, end y, the bodies of the
     links later links test for self contact, first ``SelfHit`` so far). A
-    cell then costs its last link's entry, computed the same way.
+    cell then costs its last link's entry, computed the same way. Each
+    level starts over by itself once it holds ``MEMO_CELLS`` entries.
     Joint values come from the grid's centre tables, so every float equals
     ``collision_check``'s on ``cell_to_config``'s configuration.
     """
@@ -264,29 +265,21 @@ class ChainCells:
 
     def __call__(self, lin: int) -> object:
         n = len(self.links)
-        e = self.root
-        if n > 1:
-            e = self.memo[-1].get(lin % self.strides[n - 1])
-            if e is None:
-                e = self._fill(lin)
-        e = self._link(n - 1, e, lin)
+        e = self._link(n - 1, self._prefix(n - 1, lin), lin)
         return e[4] if type(e) is tuple else e
 
-    def _fill(self, lin: int):
-        """Compute and memoise the entries of the cell's prefixes that the
-        memo lacks, from its deepest cached one; returns the deepest."""
-        memo, strides = self.memo, self.strides
-        k = len(memo) - 1  # the first level to compute
-        while k and (e := memo[k - 1].get(lin % strides[k])) is None:
-            k -= 1
+    def _prefix(self, k: int, lin: int):
+        """Entry of the cell's first k links, from the memo or computed
+        from its parent and memoised."""
         if not k:
-            e = self.root
-        if len(memo[-1]) >= MEMO_CELLS:
-            for level in memo:
+            return self.root
+        level, key = self.memo[k - 1], lin % self.strides[k]
+        e = level.get(key)
+        if e is None:
+            e = self._link(k - 1, self._prefix(k - 1, lin), lin)
+            if len(level) >= MEMO_CELLS:
                 level.clear()
-        for k in range(k, len(memo)):
-            e = self._link(k, e, lin)
-            memo[k][lin % strides[k + 1]] = e
+            level[key] = e
         return e
 
     def _link(self, k: int, parent, lin: int):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,10 +163,18 @@ class SamplerParams:
     neighbor_checks: int = 5
 
     def __post_init__(self):
-        if self.min_hits < 1:
+        if integer("min_hits", self.min_hits) < 1:
             raise ValidationError("min_hits must be at least 1")
-        if self.neighbor_checks < 0:
+        if integer("neighbor_checks", self.neighbor_checks) < 0:
             raise ValidationError("neighbor_checks must be non-negative")
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int; anything else, a float included, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass

@@ -193,6 +193,14 @@ def _polygon(value, context) -> Polygon2:
     return Polygon2([_point(v, context) for v in value])
 
 
+def _limit(value, context):
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ParseError(f"{context}: expected null or [lo, hi], got {value!r}")
+    return parse_angle(value[0]), parse_angle(value[1])
+
+
 def _robot(data) -> object:
     kind = _require(data, "kind", "robot")
     if kind == "serial_chain":
@@ -213,10 +221,7 @@ def _robot(data) -> object:
         if limits_raw is not None:
             if len(limits_raw) != len(links):
                 raise ParseError("robot.joint_limits: need one entry per link")
-            limits = [
-                None if lim is None else (parse_angle(lim[0]), parse_angle(lim[1]))
-                for lim in limits_raw
-            ]
+            limits = [_limit(lim, f"robot.joint_limits[{i}]") for i, lim in enumerate(limits_raw)]
         return SerialChain(base, links, limits)
     if kind == "rigid_se2":
         body = _polygon(_require(data, "body", "robot"), "robot.body")

@@ -185,6 +185,12 @@ class TestProve:
         pytest.param(THREE_BANDS, "base: [0.0, 0.0]", "base: [.inf, 0.0]", id="base-inf"),
         pytest.param(THREE_BANDS, "base: [0.0, 0.0]",
                      "base: [0.0, 0.0]\n  joint_limits: [null, [0.0, .inf]]", id="limit-inf"),
+        pytest.param(THREE_BANDS, "base: [0.0, 0.0]",
+                     "base: [0.0, 0.0]\n  joint_limits: [[0], null]", id="limit-short"),
+        pytest.param(THREE_BANDS, "base: [0.0, 0.0]",
+                     "base: [0.0, 0.0]\n  joint_limits: [{lo: 0}, null]", id="limit-mapping"),
+        pytest.param(THREE_BANDS, "base: [0.0, 0.0]",
+                     "base: [0.0, 0.0]\n  joint_limits: [[0, 7, 1], null]", id="limit-long"),
         pytest.param(THREE_BANDS, "dims: [36, 36]", "delta: 1.0e-320", id="delta-overflows"),
         pytest.param(THREE_BANDS, "grid:\n  dims: [36, 36]", "grid: [36, 36]", id="grid-list"),
         pytest.param(RIGID_WALL, "workspace: [[0.0, 6.7], [0.0, 3.9]]",

@@ -223,6 +223,32 @@ class TestLoopBehavior:
             with pytest.raises(ValidationError):
                 prove_infeasibility(three_band_scene(36), SamplerParams(30, 9), threads=threads)
 
+    @pytest.fixture
+    def no_proof(self, monkeypatch):
+        """Make the proof's first allocation raise: a parameter check that
+        runs later than the entry fails the test."""
+        def started(spec):
+            raise AssertionError("the proof started")
+
+        monkeypatch.setattr(engine, "CSpaceBitmap", started)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_connectivity_checked_at_entry(self, no_proof, threads):
+        with pytest.raises(ValidationError, match="connectivity"):
+            prove_infeasibility(empty_scene(), seed=0, connectivity="diagonal", threads=threads)
+
+    @pytest.mark.parametrize("name, value", [
+        ("segment_every", math.nan), ("segment_every", 2.0), ("threads", 2.5), ("threads", "2"),
+    ])
+    def test_counts_are_integers(self, no_proof, name, value):
+        with pytest.raises(ValidationError, match=name):
+            prove_infeasibility(empty_scene(), seed=0, **{name: value})
+
+    @pytest.mark.parametrize("min_hits, neighbor_checks", [(3, 2.5), (math.nan, 2), (3.0, 2)])
+    def test_sampler_params_are_integers(self, min_hits, neighbor_checks):
+        with pytest.raises(ValidationError):
+            SamplerParams(min_hits, neighbor_checks)
+
 
 class TestFootprint:
     def fake_memory(self, monkeypatch, nbytes):

@@ -488,6 +488,8 @@ class TestCellKernel:
         for lin in np.random.default_rng(0).permutation(sc.grid.size).tolist():
             assert kernel(lin) == expect[lin]
             assert max(len(level) for level in kernel.memo) <= 7
+        # A full level starts over by itself: the first never fills.
+        assert len(kernel.memo[0]) == 5
 
     def test_memo_of_an_exhausted_grid_stays_small(self):
         """Every cell of the exhausting 16^4 four-link grid memoises 16 +

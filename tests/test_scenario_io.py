@@ -207,6 +207,13 @@ class TestScenarioFromDict:
         with pytest.raises(ValidationError):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("limit", [[0], {"lo": 0}, [-1, 1, 2], 1.0])
+    def test_limit_entry_is_null_or_a_pair(self, limit):
+        doc = chain_doc()
+        doc["robot"]["joint_limits"] = [None, limit]
+        with pytest.raises(ParseError, match=r"robot\.joint_limits\[1\]"):
+            scenario_from_dict(doc)
+
 
 class TestScenarioObject:
     def test_grid_dof_mismatch(self):
