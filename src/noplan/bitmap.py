@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,14 @@ import numpy as np
 from .errors import IncompatibleGrids, OutOfBounds, OutOfRange, ValidationError
 
 TWO_PI = 2.0 * math.pi
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int; anything else, a float included, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -32,7 +41,7 @@ class GridSpec:
     hi: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(integer(f"axis {i} size", d) for i, d in enumerate(self.dims))
         wrap = tuple(bool(w) for w in self.wrap)
         lo = tuple(float(v) for v in self.lo)
         hi = tuple(float(v) for v in self.hi)

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitmap import CSpaceBitmap, cell_to_config, config_to_cell, multi_to_lin
+from .bitmap import CSpaceBitmap, cell_to_config, config_to_cell, integer, multi_to_lin
 from .errors import EngineTimeout, TooLarge, ValidationError
 from .sampler import (
     CheckPool,
     SamplerParams,
     SampleSet,
-    integer,
     sample_obstacle_cells,
     sample_obstacle_cells_parallel,
 )
@@ -141,6 +140,11 @@ def prove_infeasibility(
         raise ValidationError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
     if connectivity not in CONNECTIVITIES:
         raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity!r}")
+    moore = 3**scenario.grid.ndim - 1
+    if params.neighbor_checks > moore:
+        raise ValidationError(
+            f"neighbor_checks {params.neighbor_checks} exceeds Moore neighborhood size {moore}"
+        )
     if timeout is not None and not 0 <= timeout < math.inf:
         raise ValidationError(f"timeout must be finite and at least 0, got {timeout}")
     try:

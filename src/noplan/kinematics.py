@@ -166,7 +166,12 @@ class SerialChain:
             if lim is None:
                 lims.append(None)
             else:
-                lo, hi = float(lim[0]), float(lim[1])
+                try:
+                    lo, hi = map(float, lim)
+                except (TypeError, ValueError):
+                    raise ValidationError(
+                        f"joint limits must be pairs of numbers (lo, hi), got {lim!r}"
+                    ) from None
                 if not -math.inf < lo < hi < math.inf:
                     raise ValidationError(f"joint limits must be finite with lo < hi, got {lim}")
                 lims.append((lo, hi))

@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmap import CSpaceBitmap, GridSpec, neighbors
+from .bitmap import CSpaceBitmap, GridSpec, integer, neighbors
 from .errors import Exhausted, OutOfRange, ValidationError
 from .kinematics import BaseInObstacle, ObstacleHit, SelfHit
 
@@ -167,14 +166,6 @@ class SamplerParams:
             raise ValidationError("min_hits must be at least 1")
         if integer("neighbor_checks", self.neighbor_checks) < 0:
             raise ValidationError("neighbor_checks must be non-negative")
-
-
-def integer(name: str, value) -> int:
-    """``value`` as an int; anything else, a float included, is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -383,25 +374,6 @@ class CheckPool:
             conn.close()
 
 
-def _covered_hits(robot, spec: GridSpec, hits) -> set:
-    """Positions in ``hits``, a batch's (linear index, cause) in order, of
-    the hits that lie in the slice of an earlier propagated hit.
-
-    A hit is propagated when no earlier propagated hit covers it.
-    """
-    covered = set()
-    slices = set()  # (inner, outer, fixed) per slice, as _slice gives it
-    spans = set()  # the distinct (inner, outer) among them
-    for i, (lin, cause) in enumerate(hits):
-        if any((inner, outer, lin % outer - lin % inner) in slices for inner, outer in spans):
-            covered.add(i)
-            continue
-        key = _slice(spec, lin, *_fixed_axes(robot, cause))
-        spans.add(key[:2])
-        slices.add(key)
-    return covered
-
-
 def sample_obstacle_cells(
     bm: CSpaceBitmap,
     ss: SampleSet,
@@ -412,45 +384,35 @@ def sample_obstacle_cells(
 ) -> IterationStats:
     """One sampling iteration: draw until ``min_hits`` collision hits.
 
-    One loop around one step, ``check``, which checks a batch of cells,
-    marks its hits and propagates each hit no earlier slice of the batch
-    covers. The loop checks a batch of draws and counts its propagated hits
-    toward the quota; then it checks, in batches too, up to
-    ``neighbor_checks`` random Moore neighbors of each, drawn without
-    replacement. Free cells stay marked free, never re-drawn; a neighbor
-    visited by the time it is taken is skipped, not replaced, and neighbor
-    hits do not count toward the quota.
+    One loop around one step, ``check``, which checks a batch of cells and
+    marks, propagates and counts each of its hits, in order. The loop
+    checks a batch of draws and counts its hits toward the quota; then it
+    checks, in batches too, up to ``neighbor_checks`` random Moore
+    neighbors of each, drawn without replacement. Free cells stay marked
+    free, never re-drawn; a neighbor visited by the time it is taken is
+    skipped, not replaced, and neighbor hits do not count toward the quota.
 
     Batches hold ``pool.batch_size`` cells. With one worker that is one
     cell, so each cell taken sees the propagation of every hit before it.
-    A covered hit is only marked: without the batch it could not have been
-    taken. A batch is applied whole, so a pooled iteration may end past the
-    quota. The iteration ends short of the quota when every cell has been
-    visited.
+    A pooled batch is checked whole, then applied hit by hit in the same
+    way: a hit inside an earlier hit's slice propagates no new cell. So a
+    pooled iteration may end past the quota. The iteration ends short of
+    the quota when every cell has been visited.
     """
     spec = bm.spec
-    if params.neighbor_checks > 3**spec.ndim - 1:
-        raise ValidationError(
-            f"neighbor_checks {params.neighbor_checks} exceeds Moore neighborhood "
-            f"size {3**spec.ndim - 1}"
-        )
     stats = IterationStats()
     batch = pool.batch_size
 
     def check(lins) -> list:
-        """Check a batch and apply its hits; returns the propagated ones."""
-        causes = pool.check(lins)
+        """Check a batch, then mark and propagate each hit; returns the hits."""
         stats.checks += len(lins)
-        hits = [(lin, cause) for lin, cause in zip(lins, causes) if cause is not None]
-        # A lone hit has no earlier slice to lie in.
-        covered = _covered_hits(robot, spec, hits) if len(hits) > 1 else ()
-        propagated = []
-        for i, (lin, cause) in enumerate(hits):
-            bm.set_obstacle(lin)
-            if i not in covered:
+        hits = []
+        for lin, cause in zip(lins, pool.check(lins)):
+            if cause is not None:
+                bm.set_obstacle(lin)
                 stats.propagated += propagate(bm, ss, robot, lin, cause)
-                propagated.append(lin)
-        return propagated
+                hits.append(lin)
+        return hits
 
     while stats.hits < params.min_hits and ss.size:
         fresh = check([ss.draw(rng) for _ in range(min(batch, ss.size))])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .bitmap import GridSpec, TWO_PI, config_to_cell
+from .bitmap import GridSpec, TWO_PI, config_to_cell, integer
 from .errors import (
     GeometryError,
     InvalidDelta,
@@ -237,9 +237,9 @@ def _grid(data, robot, obstacles) -> GridSpec:
     if robot.kind == "rigid_se2":
         workspace = _require(data, "workspace", "grid")
         dims = _require(data, "dims", "grid")
-        return se2_grid(workspace, [int(d) for d in dims])
+        return se2_grid(workspace, dims)
     if "dims" in data:
-        return chain_grid(robot, [int(d) for d in data["dims"]])
+        return chain_grid(robot, data["dims"])
     delta = data.get("delta")
     delta = float(delta) if delta is not None else min_obstacle_edge(obstacles)
     return chain_grid(robot, suggest_resolution(robot, delta))
@@ -274,7 +274,7 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
         )
         k = data.get("truncate_to_links")
         if k is not None:
-            scenario = scenario.truncate(int(k))
+            scenario = scenario.truncate(integer("truncate_to_links", k))
     except GeometryError as exc:
         raise ValidationError(str(exc)) from exc
     except (TypeError, ValueError) as exc:

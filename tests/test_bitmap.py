@@ -43,6 +43,11 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             GridSpec((3,), (False,), (lo,), (hi,))
 
+    @pytest.mark.parametrize("dims", [(36.7, 36), (36.0, 36), ("36", 36)])
+    def test_rejects_sizes_that_are_not_integers(self, dims):
+        with pytest.raises(ValidationError, match="axis 0 size must be an integer"):
+            grid(dims)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
             GridSpec((3, 3), (False,), (0.0, 0.0), (1.0, 1.0))

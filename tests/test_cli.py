@@ -171,6 +171,7 @@ class TestProve:
         pytest.param(THREE_BANDS, "dims: [36, 36]", "dims: [36, abc]", id="dims-text"),
         pytest.param(THREE_BANDS, "dims: [36, 36]", "dims: [36, .nan]", id="dims-nan"),
         pytest.param(THREE_BANDS, "dims: [36, 36]", "dims: 7", id="dims-scalar"),
+        pytest.param(THREE_BANDS, "dims: [36, 36]", "dims: [36.7, 36]", id="dims-float"),
         pytest.param(THREE_BANDS, "start: [200 deg, 0.0]", "start: 5", id="start-scalar"),
         pytest.param(THREE_BANDS, "start: [200 deg, 0.0]", "start: [nan, 0.0]", id="start-nan"),
         pytest.param(THREE_BANDS, "goal: [15 deg, 0.0]", "goal: [0.1, .inf]", id="goal-inf"),

@@ -218,10 +218,6 @@ class TestLoopBehavior:
             prove_infeasibility(sc, segment_every=0)
         with pytest.raises(ValidationError):
             prove_infeasibility(sc, threads=0)
-        # more neighbors per hit than a 2-D cell has, at either thread count
-        for threads in (1, 2):
-            with pytest.raises(ValidationError):
-                prove_infeasibility(three_band_scene(36), SamplerParams(30, 9), threads=threads)
 
     @pytest.fixture
     def no_proof(self, monkeypatch):
@@ -236,6 +232,12 @@ class TestLoopBehavior:
     def test_connectivity_checked_at_entry(self, no_proof, threads):
         with pytest.raises(ValidationError, match="connectivity"):
             prove_infeasibility(empty_scene(), seed=0, connectivity="diagonal", threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_neighbor_budget_checked_at_entry(self, no_proof, threads):
+        # a 2-D cell has 8 Moore neighbors
+        with pytest.raises(ValidationError, match="neighbor_checks 9 exceeds"):
+            prove_infeasibility(empty_scene(), SamplerParams(1, 9), seed=0, threads=threads)
 
     @pytest.mark.parametrize("name, value", [
         ("segment_every", math.nan), ("segment_every", 2.0), ("threads", 2.5), ("threads", "2"),

@@ -72,6 +72,11 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             SerialChain(Point2(0, 0), [1.0], joint_limits=[(1.0, -1.0)])
 
+    @pytest.mark.parametrize("lim", [(0, 1, 2), (0,)])
+    def test_limit_is_a_pair(self, lim):
+        with pytest.raises(ValidationError, match="pairs"):
+            SerialChain(Point2(0, 0), [1.0], joint_limits=[lim])
+
     @pytest.mark.parametrize("lim", [(0.0, math.inf), (-math.inf, 0.0)])
     def test_rejects_infinite_limits(self, lim):
         # With a delta grid the limit's span sets a cell count.

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from noplan import sampler
 from noplan.bitmap import CSpaceBitmap, GridSpec, TWO_PI, cell_to_config, lin_to_multi, multi_to_lin
 from noplan.errors import Exhausted, OutOfRange, ValidationError
 from noplan.kinematics import (
@@ -20,8 +21,6 @@ from noplan.sampler import (
     CheckPool,
     SamplerParams,
     SampleSet,
-    _covered_hits,
-    _fixed_axes,
     _slice_indices,
     cells_implied_by,
     propagate,
@@ -257,18 +256,6 @@ class TestCausePropagation:
         assert sorted(got.tolist()) == agreement_oracle(spec, (2, 3, 4), 0, 1)
         assert got.size == 8
 
-    def test_hits_in_an_earlier_slice_of_the_batch_are_covered(self):
-        spec = torus([5, 4, 3, 2])
-        hits = [
-            ((1, 2, 0, 0), ObstacleHit(2, 0)),  # slice: axes 0-1 fixed
-            ((1, 2, 2, 1), ObstacleHit(1, 0)),  # inside it despite a wider cause
-            ((1, 3, 0, 0), ObstacleHit(3, 0)),  # outside: axis 1 differs
-            ((1, 3, 0, 1), SelfHit(2, 3)),  # inside the previous slice
-            ((4, 3, 0, 1), ObstacleHit(4, 0)),  # inside the covered hit's slice only
-        ]
-        hits = [(multi_to_lin(spec, multi), cause) for multi, cause in hits]
-        assert _covered_hits(self.chain4, spec, hits) == {1, 3}
-
     def test_propagate_marks_and_depletes(self):
         spec = torus([6, 6, 6])
         chain = SerialChain((0, 0), [0.5, 0.3, 0.2])
@@ -383,44 +370,6 @@ def test_propagation_holds_no_per_cell_array():
     assert peak <= 4 * count
 
 
-def covered_by_tuple_slices(robot, spec, hits) -> set:
-    """``_covered_hits`` with each slice keyed by its fixed axes and the
-    grid coordinates on them."""
-    covered = set()
-    slices = set()
-    spans = set()
-    for i, (lin, cause) in enumerate(hits):
-        multi = lin_to_multi(spec, lin)
-        if any((lo, hi, multi[lo : hi + 1]) in slices for lo, hi in spans):
-            covered.add(i)
-            continue
-        lo, hi = _fixed_axes(robot, cause)
-        spans.add((lo, hi))
-        slices.add((lo, hi, multi[lo : hi + 1]))
-    return covered
-
-
-@st.composite
-def hit_batches(draw):
-    """A chain with one link per axis of a random grid, and a batch of hits
-    on that grid with obstacle and self-collision causes."""
-    spec, _ = draw(grid_and_cell())
-    n = spec.ndim
-    link = st.integers(1, n)
-    obstacle = st.builds(ObstacleHit, link, st.just(0))
-    self_hit = st.tuples(link, link).filter(lambda p: p[0] < p[1]).map(lambda p: SelfHit(*p))
-    cause = st.one_of(obstacle, self_hit) if n > 1 else obstacle
-    hit = st.tuples(st.integers(0, spec.size - 1), cause)
-    return SerialChain((0, 0), [1.0] * n), spec, draw(st.lists(hit, max_size=30))
-
-
-@settings(max_examples=200, deadline=None)
-@given(hit_batches())
-def test_covered_hits_match_tuple_slices(case):
-    robot, spec, hits = case
-    assert _covered_hits(robot, spec, hits) == covered_by_tuple_slices(robot, spec, hits)
-
-
 def all_hit_scene():
     """One-link arm inside a ring of obstacles: every configuration collides."""
     chain = SerialChain((0, 0), [(1.0, 0.05)])
@@ -492,17 +441,29 @@ class TestSamplingIteration:
         assert len(ss) == 0
         assert bm.free_count() == 16
 
-    def test_neighbor_budget_bounded_by_moore_size(self):
+    def test_a_batch_applies_every_hit(self, monkeypatch):
+        # Every cell of the 8x8 grid hits with link 1, whose slice is the
+        # column of cells sharing axis 0. Only column 0 is left to draw, so
+        # a two-cell batch takes two hits in one slice, as a pool's can.
         _, obs, _ = all_hit_scene()
         chain = SerialChain((0, 0), [(1.0, 0.05), (0.5, 0.05)])
         spec = torus([8, 8])
-        bm = CSpaceBitmap(spec)
-        ss = SampleSet(spec.size)
-        with pytest.raises(ValidationError):
-            sample_obstacle_cells(
-                bm, ss, chain, CheckPool(1, chain, obs, spec), SamplerParams(1, 9),
-                np.random.default_rng(0),
-            )
+        bm, ss = CSpaceBitmap(spec), SampleSet(spec.size)
+        ss.remove_bulk([lin for lin in range(spec.size) if lin % 8])
+        pool = CheckPool(1, chain, obs, spec)
+        pool.batch_size = 2
+        marks = []
+
+        def recorded(*args):
+            marks.append(propagate(*args))
+            return marks[-1]
+
+        monkeypatch.setattr(sampler, "propagate", recorded)
+        stats = sample_obstacle_cells(bm, ss, chain, pool, SamplerParams(2, 0),
+                                      np.random.default_rng(0))
+        assert (stats.hits, stats.checks, stats.propagated) == (2, 2, 6)
+        assert marks == [6, 0]
+        assert bm.free_count() == spec.size - 8
 
     def test_zero_neighbor_checks_allowed(self):
         chain, obs, spec = all_hit_scene()

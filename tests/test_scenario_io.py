@@ -170,6 +170,14 @@ class TestScenarioFromDict:
         assert sc.start == (0.0,)
         assert sc.truncate_to_links == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("truncate_to_links", 1.5), ("truncate_to_links", 1.0), ("grid", {"dims": [12, 12.5]}),
+    ])
+    def test_counts_are_integers(self, field, value):
+        doc = chain_doc(**{field: value})
+        with pytest.raises(ValidationError, match="must be an integer"):
+            scenario_from_dict(doc)
+
     def test_missing_fields(self):
         for field in ("robot", "obstacles", "start", "goal"):
             doc = chain_doc()
