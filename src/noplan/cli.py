@@ -118,6 +118,10 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     scenario = _load(args)
+    if scenario.grid.ndim > 1:
+        # segment imports scipy.ndimage when it first labels two or more
+        # axes; importing it here keeps that out of the first trial's times.
+        import scipy.ndimage  # noqa: F401
     writer = csv.writer(sys.stdout)
     base_seed = args.seed if args.seed is not None else 0
     kinds = set()

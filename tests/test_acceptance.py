@@ -6,7 +6,6 @@ budgets are asserted, not just measured.
 """
 
 import itertools
-import math
 import statistics
 import time
 from collections import Counter

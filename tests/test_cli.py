@@ -87,7 +87,8 @@ class TestProve:
             assert grid.wrap == (True, False) and grid.hi[1] == 1.5
 
     @pytest.mark.parametrize("path, resolution, given, axes", [
-        (THREE_BANDS, "24,18,12", 3, 2), (RIGID_WALL, "40,30", 2, 3),
+        pytest.param(THREE_BANDS, "24,18,12", 3, 2, id="two-link-3-sizes"),
+        pytest.param(RIGID_WALL, "40,30", 2, 3, id="rigid-2-sizes"),
     ])
     def test_resolution_count_must_match_axes(self, capsys, path, resolution, given, axes):
         code, out = run(capsys, "prove", path, "--resolution", resolution)
@@ -237,6 +238,18 @@ class TestBench:
         assert [int(r[1]) for r in rows[:3]] == [10, 11, 12]
         assert rows[3][0] == "summary"
         assert "±" in rows[3][3]
+
+    def test_first_trial_does_not_time_the_scipy_import(self):
+        # In a fresh interpreter, importing scipy.ndimage takes about 0.3 s,
+        # and segmenting this scene's two separating axes about 0.006 s.
+        proc = subprocess.run(
+            [sys.executable, "-m", "noplan.cli", "bench", RIGID_WALL, "--trials", "1",
+             "--seed", "0"],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        row = proc.stdout.splitlines()[1].split(",")
+        assert row[2] == "Infeasible"
+        assert float(row[4]) < 0.15
 
     def test_feasible_scene_exit(self, capsys):
         code, _ = run(

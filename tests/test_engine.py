@@ -17,7 +17,7 @@ from noplan.engine import (
     prove_infeasibility,
 )
 from noplan.errors import EngineTimeout, TooLarge, ValidationError
-from noplan.oracle import bfs_connected, brute_force_bitmap
+from noplan.oracle import brute_force_bitmap
 from noplan.sampler import CheckPool, IterationStats, SampleSet, SamplerParams
 from noplan.scenario_io import Scenario, chain_grid, load_scenario
 from noplan.kinematics import SerialChain

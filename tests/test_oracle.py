@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from noplan.bitmap import CSpaceBitmap, GridSpec, TWO_PI, multi_to_lin
+from noplan.bitmap import CSpaceBitmap, GridSpec
 from noplan.errors import IncompatibleGrids, StartOrGoalInObstacle, TooLarge
 from noplan.oracle import (
     EQUIVALENT,
@@ -16,7 +14,7 @@ from noplan.oracle import (
 from noplan.scenario_io import Scenario, chain_grid
 from noplan.kinematics import SerialChain
 
-from support import square, three_band_scene
+from support import three_band_scene
 
 
 def unit_bitmap(dense, wrap=None):

@@ -1,4 +1,5 @@
-import itertools
+import ast
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,9 @@ from noplan import segmentation
 from noplan.bitmap import CSpaceBitmap, GridSpec, multi_to_lin
 from noplan.errors import StartOrGoalInObstacle, ValidationError
 from noplan.oracle import flood_fill_labels
-from noplan.segmentation import CONNECTIVITIES, LabelField, project, segment, segment_check
+from noplan.segmentation import CONNECTIVITIES, project, segment, segment_check
+
+from support import SCENARIO_DIR
 
 
 def bitmap_from(dense, wrap=None):
@@ -193,6 +196,50 @@ class TestAgainstFloodFill:
         assert joined >= 20
 
 
+def random_lines(seed, count):
+    """``count`` one-axis bitmaps of 2-64 cells, wrapped or not, with a
+    random share of free cells."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 65))
+        wrap = (bool(rng.integers(0, 2)),)
+        yield bitmap_from(rng.random(n) < rng.uniform(0.0, 1.0), wrap=wrap)
+
+
+class TestOneAxis:
+    """A grid of one axis is labeled in numpy, without scipy."""
+
+    def test_matches_flood_fill(self):
+        for bm in random_lines(20, 500):
+            for connectivity in CONNECTIVITIES:
+                lf = segment(bm, connectivity)
+                ff_labels, ff_count = flood_fill_labels(bm, connectivity)
+                assert lf.component_count == ff_count
+                assert np.array_equal(lf.to_dense(), ff_labels)
+
+    def test_matches_scipy_labels_joined_at_the_seam(self):
+        # The raw labels, table and count that scipy's labeler gives on a
+        # line, with the last run joined to the first across a wrap seam.
+        from scipy import ndimage
+
+        for bm in random_lines(21, 500):
+            dense = bm.to_dense()
+            raw, count = ndimage.label(dense)
+            table = np.arange(count + 1, dtype=raw.dtype)
+            if bm.spec.wrap[0] and dense[0] and dense[-1] and count > 1:
+                table[count] = 1
+                count -= 1
+            for connectivity in CONNECTIVITIES:
+                lf = segment(bm, connectivity)
+                assert lf.raw.dtype == raw.dtype and np.array_equal(lf.raw, raw)
+                assert lf.table.dtype == table.dtype and np.array_equal(lf.table, table)
+                assert lf.component_count == count
+
+    def test_rejects_unknown_connectivity(self):
+        with pytest.raises(ValidationError):
+            segment(bitmap_from(np.ones(3)), connectivity="knight")
+
+
 def _segment_peak(bm, connectivity):
     tracemalloc.start()
     try:
@@ -309,10 +356,39 @@ class TestSegmentCheck:
             segment_check(lf, free, blocked)
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse costs about 11 MB of peak RSS and 0.08 s of setup per run
+def _scipy_loaded_after(code):
+    """Run ``code`` in a fresh interpreter; return the lines it printed
+    and the names of the scipy modules it left loaded."""
+    listing = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, noplan; print('scipy.sparse' in sys.modules)"],
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", f"import sys\n{code}\n{listing}"],
+        capture_output=True, text=True, check=True, timeout=120,
     )
-    assert proc.stdout.strip() == "False"
+    *printed, loaded = proc.stdout.splitlines()
+    return printed, ast.literal_eval(loaded)
+
+
+def _prove_in_subprocess(scenario):
+    path = str(SCENARIO_DIR / scenario)
+    printed, loaded = _scipy_loaded_after(
+        f"from noplan.cli import main\nmain(['prove', {path!r}, '--seed', '0'])"
+    )
+    return json.loads("\n".join(printed)), loaded
+
+
+def test_import_leaves_scipy_unloaded():
+    # Importing scipy.ndimage takes longer than most proofs, and
+    # scipy.sparse adds about 11 MB of peak RSS.
+    assert _scipy_loaded_after("import noplan, noplan.cli")[1] == []
+
+
+def test_proof_on_one_axis_leaves_scipy_unloaded():
+    verdict, loaded = _prove_in_subprocess("four_link_bands.yaml")
+    assert verdict["kind"] == "Infeasible" and verdict["separating_axes"] == 1
+    assert loaded == []
+
+
+def test_proof_on_two_axes_loads_scipy_ndimage():
+    verdict, loaded = _prove_in_subprocess("rigid_body_wall.yaml")
+    assert verdict["kind"] == "Infeasible" and verdict["separating_axes"] == 2
+    assert "scipy.ndimage" in loaded
