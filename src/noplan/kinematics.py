@@ -6,6 +6,11 @@ checks return not just a boolean but the cause, ordered by how many bitmap
 cells the cause lets the sampler mark at once:
 
     BaseInObstacle > ObstacleHit(smallest link) > SelfHit
+
+A rigid body's ``BaseInObstacle`` means that an obstacle lies within the
+disc about the reference point that the body holds at every heading (the
+reference point inside the obstacle included), so the body collides at
+every heading.
 """
 
 from __future__ import annotations
@@ -43,7 +48,9 @@ class SelfHit:
 
 @dataclass(frozen=True)
 class BaseInObstacle:
-    """Reference point of a rigid body sits inside an obstacle."""
+    """An obstacle that a rigid body meets at every heading of its
+    reference point: the reference point lies inside the obstacle, or the
+    obstacle comes within the body's inscribed disc about it."""
 
     obstacle: int
 
@@ -93,6 +100,19 @@ def _raws_hit_obstacle(raws, box, obs: PreparedObstacles):
                 if raw_tri_intersects(ra, rb):
                     return oi
     return None
+
+
+def _ring_dist2(points) -> float:
+    """Squared distance from the origin to the nearest edge of the closed
+    ring of (x, y) points."""
+    best = math.inf
+    for (ax, ay), (bx, by) in zip(points, points[1:] + points[:1]):
+        dx, dy = bx - ax, by - ay
+        dd = dx * dx + dy * dy
+        t = min(1.0, max(0.0, -(ax * dx + ay * dy) / dd)) if dd else 0.0
+        px, py = ax + t * dx, ay + t * dy
+        best = min(best, px * px + py * py)
+    return best
 
 
 def _link_body(jx, jy, angle, link):
@@ -307,13 +327,22 @@ class ChainCells:
         return angle, ex, ey, bodies, hit
 
 
+# The disc rule's margin, per unit of the largest coordinate in play. The
+# rotated body's vertices and the separating-axis projections round by a
+# few units of 2^-52 of that coordinate; an obstacle the rule admits
+# reaches about 2^10 such units into the body at every heading, so each
+# heading's check finds the contact.
+DISC_MARGIN = 2.0**-42
+
+
 class RigidSE2:
     """Rigid polygonal body translating and rotating in the plane.
 
     Configurations are (x, y, phi): the reference point moves to (x, y) and
     the body rotates by phi about it. The reference point must lie inside
-    the body so that a reference point buried in an obstacle implies
-    collision at every orientation.
+    the body. The body then holds, at every heading, the disc about the
+    reference point out to its nearest edge, so an obstacle within that
+    disc, or around the reference point, collides at every heading.
     """
 
     kind = "rigid_se2"
@@ -339,6 +368,9 @@ class RigidSE2:
             )
             for t in triangulate(body)
         ]
+        rel = [(v.x - ref.x, v.y - ref.y) for v in body.vertices]
+        self._radius = math.sqrt(_ring_dist2(rel))
+        self._size = max(max(abs(v.x), abs(v.y)) for v in body.vertices)
 
     @property
     def dof(self) -> int:
@@ -375,9 +407,22 @@ class RigidSE2:
                 return CollisionReport(BaseInObstacle(oi))
         raws = self.body_raws(q)
         oi = _raws_hit_obstacle(raws, _raws_bbox(raws), obs)
-        if oi is not None:
-            return CollisionReport(ObstacleHit(1, oi))
-        return FREE
+        if oi is None:
+            return FREE
+        # A contact is a base hit when some obstacle's edges come within the
+        # body's inscribed disc, shrunk by DISC_MARGIN of the largest
+        # coordinate of the body, the reference point and the obstacle.
+        x, y = q[0], q[1]
+        for oj, box in enumerate(obs.bboxes):
+            bx0, by0, bx1, by1 = box
+            r = self._radius
+            if not (bx0 - r <= x <= bx1 + r and by0 - r <= y <= by1 + r):
+                continue
+            r -= DISC_MARGIN * max(abs(x), abs(y), *map(abs, box), self._size)
+            ring = [(v.x - x, v.y - y) for v in obs.polygons[oj].vertices]
+            if r > 0.0 and _ring_dist2(ring) < r * r:
+                return CollisionReport(BaseInObstacle(oj))
+        return CollisionReport(ObstacleHit(1, oi))
 
     def cell_kernel(self, spec, obs: PreparedObstacles) -> "BodyCells":
         return BodyCells(self, spec, obs)

@@ -277,7 +277,7 @@ def scenario_from_dict(data: dict, name: str = "") -> Scenario:
             scenario = scenario.truncate(integer("truncate_to_links", k))
     except GeometryError as exc:
         raise ValidationError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"scenario: malformed field value: {exc}") from exc
     return scenario
 
@@ -290,4 +290,6 @@ def load_scenario(path) -> Scenario:
         raise ParseError(f"cannot read scenario file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed scenario file {path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"malformed scenario file {path}: nested too deeply") from None
     return scenario_from_dict(data, name=str(path))

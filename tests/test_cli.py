@@ -27,6 +27,8 @@ SINGLE_BLOCK = str(SCENARIO_DIR / "two_link_single_block.yaml")
 FIVE_LINK = str(SCENARIO_DIR / "five_link_walled.yaml")
 FOUR_LINK = SCENARIO_DIR / "four_link_bands.yaml"
 RIGID_WALL = str(SCENARIO_DIR / "rigid_body_wall.yaml")
+# An integer too large for a float.
+HUGE_INT = "9" * 400
 
 
 def run(capsys, *argv):
@@ -194,6 +196,11 @@ class TestProve:
         pytest.param(THREE_BANDS, "base: [0.0, 0.0]",
                      "base: [0.0, 0.0]\n  joint_limits: [[0, 7, 1], null]", id="limit-long"),
         pytest.param(THREE_BANDS, "dims: [36, 36]", "delta: 1.0e-320", id="delta-overflows"),
+        pytest.param(THREE_BANDS, "start: [200 deg, 0.0]", f"start: [{HUGE_INT}, 0.0]",
+                     id="start-huge-int"),
+        pytest.param(THREE_BANDS, "{length: 1.0, width: 0.02}",
+                     f"{{length: {HUGE_INT}, width: 0.02}}", id="length-huge-int"),
+        pytest.param(THREE_BANDS, "dims: [36, 36]", f"delta: {HUGE_INT}", id="delta-huge-int"),
         pytest.param(THREE_BANDS, "grid:\n  dims: [36, 36]", "grid: [36, 36]", id="grid-list"),
         pytest.param(RIGID_WALL, "workspace: [[0.0, 6.7], [0.0, 3.9]]",
                      "workspace: [[0.0, .inf], [0.0, 3.9]]", id="workspace-inf"),
@@ -212,6 +219,19 @@ class TestProve:
         assert proc.returncode == EXIT_ERROR
         error = json.loads(proc.stdout)["error"]
         assert error in ("ParseError", "ValidationError", "InvalidDelta")
+        assert proc.stderr == ""
+
+    def test_deeply_nested_yaml_fails_with_json_error(self, tmp_path):
+        # Nesting deeper than the interpreter's recursion limit is bad
+        # input too, not a RecursionError traceback.
+        bad = tmp_path / "deep.yaml"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "noplan.cli", "prove", str(bad)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_ERROR
+        assert json.loads(proc.stdout)["error"] == "ParseError"
         assert proc.stderr == ""
 
     def test_connectivity_flag_accepted(self, capsys):

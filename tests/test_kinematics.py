@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from noplan import kinematics
@@ -269,6 +269,17 @@ class TestRigidBody:
         with pytest.raises(InvalidConfiguration):
             robot.collision_check((0.0, 0.0), PreparedObstacles([]))
 
+    @pytest.mark.parametrize("far", [0.0, 1e6])
+    def test_obstacle_within_inscribed_disc_is_base_hit(self, far):
+        # The 2 x 1 body holds a disc of radius 0.5 about its centre. A
+        # square whose near side lies a hair inside it is a base hit, even
+        # far from the origin; a hair outside, a body hit.
+        robot = RigidSE2(self.body(), Point2(0, 0))
+        x, y = far + 0.3, far - 0.2
+        for gap, cause in ((-1e-6, BaseInObstacle(0)), (1e-6, ObstacleHit(1, 0))):
+            obs = PreparedObstacles([square(x + 0.5 * (1 + gap) + 0.2, y, 0.2)])
+            assert robot.collision_check((x, y, 0.0), obs).cause == cause
+
 
 # Gaps between an obstacle and the robot: exact contact, a hair apart, and
 # a hair of overlap, so that bounding boxes meet exactly at their edges.
@@ -309,7 +320,34 @@ def all_pairs_chain_cause(chain, q, obs):
     return None
 
 
+def segment_distance(p, a, b):
+    """Distance from p to the segment ab: to an end where the segment's
+    angle at that end is not acute, else to the segment's line."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    if (px - ax) * (bx - ax) + (py - ay) * (by - ay) <= 0:
+        return math.dist(p, a)
+    if (px - bx) * (ax - bx) + (py - by) * (ay - by) <= 0:
+        return math.dist(p, b)
+    return abs((bx - ax) * (py - ay) - (by - ay) * (px - ax)) / math.dist(a, b)
+
+
+def edge_distance(p, poly):
+    """Distance from p to the nearest edge of a polygon."""
+    v = [(w.x, w.y) for w in poly.vertices]
+    return min(segment_distance(p, a, b) for a, b in zip(v, v[1:] + v[:1]))
+
+
+def sat_collides(robot, q, obs):
+    """Whether any body triangle meets any obstacle triangle at q."""
+    raws = robot.body_raws(q)
+    return any(soups_touch(raws, tris) for tris in obs.tri_raws)
+
+
 def all_pairs_body_cause(robot, q, obs):
+    """The cause collision_check must report, found without bounding boxes.
+    A body hit is a base hit when some obstacle comes closer to the
+    reference point than the body's nearest edge. This radius is exact;
+    the kernel's is smaller by a margin far below the gaps the tests use."""
     ref = Point2(q[0], q[1])
     for oi, poly in enumerate(obs.polygons):
         if point_in_polygon(ref, poly):
@@ -317,6 +355,11 @@ def all_pairs_body_cause(robot, q, obs):
     raws = robot.body_raws(q)
     for oi, tris in enumerate(obs.tri_raws):
         if soups_touch(raws, tris):
+            rp = robot.reference_point
+            r = edge_distance((rp.x, rp.y), robot.body)
+            for oj, poly in enumerate(obs.polygons):
+                if edge_distance(q[:2], poly) < r:
+                    return BaseInObstacle(oj)
             return ObstacleHit(1, oi)
     return None
 
@@ -404,6 +447,99 @@ class TestPrefilters:
             obs = PreparedObstacles([])
             assert all_pairs_chain_cause(chain, q, obs) == SelfHit(1, 3)
             assert chain.collision_check(q, obs).cause == SelfHit(1, 3)
+
+
+@st.composite
+def convex_bodies(draw):
+    """A convex body through 3-8 of 12 points spaced evenly around a tilted
+    ellipse of 0.003 to 2 across, with the mean of its vertices as its
+    reference point."""
+    a = 10 ** draw(st.floats(-2.5, 0.3))
+    b = a * draw(st.floats(0.3, 1.0))
+    c, s = math.cos(tilt := draw(st.floats(0.0, 2 * math.pi))), math.sin(tilt)
+    picks = sorted(draw(st.lists(st.integers(0, 11), min_size=3, max_size=8, unique=True)))
+    pts = []
+    for k in picks:
+        ex, ey = a * math.cos(math.pi * k / 6), b * math.sin(math.pi * k / 6)
+        pts.append((c * ex - s * ey, s * ex + c * ey))
+    ref = Point2(sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts))
+    return RigidSE2(Polygon2(pts), ref)
+
+
+def facing_square(x, y, psi, d, h, corner=False):
+    """A square beyond (x, y) in direction psi whose near side, or near
+    corner, lies at distance d: side 2h, or diagonal 2h with ``corner``."""
+    frame = ((0, 0), (h, -h), (2 * h, 0), (h, h)) if corner else \
+        ((0, -h), (2 * h, -h), (2 * h, h), (0, h))
+    (ux, uy), (wx, wy) = (math.cos(psi), math.sin(psi)), (-math.sin(psi), math.cos(psi))
+    return Polygon2([(x + (d + i) * ux + j * wx, y + (d + i) * uy + j * wy) for i, j in frame])
+
+
+class TestInscribedDisc:
+    """An obstacle within a rigid body's inscribed disc about its reference
+    point is a base hit, which marks the whole heading column. The rule
+    changes causes only, and every heading it implies collides."""
+
+    HEADINGS = se2_grid(((0.0, 1.0), (0.0, 1.0)), [2, 2, 72]).centres(2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(convex_bodies(), st.integers(0, 2**32 - 1))
+    def test_base_hits_collide_at_every_heading(self, robot, seed):
+        # Squares whose side or corner nearest the reference point lies at
+        # r * (1 + eps), r the body's inscribed radius: eps is +-1e-6, or
+        # -1e-7 to -1e-11, which puts the contact within the rounding of the
+        # body's vertices near 1e6, where half the squares lie. Half face
+        # the body's nearest edge at one heading of the grid, the worst case
+        # for that heading's check; the others lie in a random direction.
+        rng = np.random.default_rng(seed)
+        rp = (robot.reference_point.x, robot.reference_point.y)
+        v = [(w.x, w.y) for w in robot.body.vertices]
+        (ax, ay), (bx, by) = min(zip(v, v[1:] + v[:1]), key=lambda e: segment_distance(rp, *e))
+        r = segment_distance(rp, (ax, ay), (bx, by))
+        for _ in range(10):
+            far = 1e6 if rng.integers(2) else 0.0
+            x, y = (far + float(t) for t in rng.uniform(-5.0, 5.0, 2))
+            eps = rng.choice([-1e-6, 1e-6]) if rng.integers(2) else -(10 ** -rng.uniform(7, 11))
+            if rng.integers(2):
+                psi = self.HEADINGS[rng.integers(72)] + math.atan2(ax - bx, by - ay)
+            else:
+                psi = rng.uniform(0.0, 2 * math.pi)
+            obstacle = facing_square(
+                x, y, psi, r * (1 + eps), rng.uniform(0.05, 1.0), bool(rng.integers(2))
+            )
+            obs = PreparedObstacles([obstacle])
+            causes = [robot.collision_check((x, y, phi), obs).cause for phi in self.HEADINGS]
+            if BaseInObstacle(0) in causes and not point_in_polygon(Point2(x, y), obstacle):
+                event(f"disc rule fired at {far:g}")
+                assert all(sat_collides(robot, (x, y, phi), obs) for phi in self.HEADINGS)
+
+    def test_margin_grows_with_the_coordinates(self):
+        # A body 0.008 across near (1e6, 1e6), whose +x edge faces a square
+        # at heading 63, at r * (1 - 2e-9) from the reference point. The
+        # rounding of the body's vertices there exceeds that depth, so some
+        # headings miss the square, and a margin of a relative 1e-9 of r
+        # would admit it.
+        robot = RigidSE2(square(0.0, 0.0, 0.004), Point2(0.0, 0.0))
+        x, y = 999995.586, 999998.361
+        obs = PreparedObstacles([facing_square(x, y, self.HEADINGS[63], 0.004 * (1 - 2e-9), 0.05)])
+        assert not all(sat_collides(robot, (x, y, phi), obs) for phi in self.HEADINGS)
+        causes = {robot.collision_check((x, y, phi), obs).cause for phi in self.HEADINGS}
+        assert causes == {ObstacleHit(1, 0), None}
+
+    @settings(max_examples=100, deadline=None)
+    @given(convex_bodies(), st.integers(0, 2**32 - 1))
+    def test_verdict_equals_sat_reference(self, robot, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            far = 1e6 if rng.integers(2) else 0.0
+            q = (far + rng.uniform(-1.0, 1.0), far + rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2 * math.pi))
+            obs = PreparedObstacles([
+                square(*(np.array(q[:2]) + rng.uniform(-2.0, 2.0, 2)), rng.uniform(0.05, 0.5))
+                for _ in range(int(rng.integers(1, 4)))
+            ])
+            cause = robot.collision_check(q, obs).cause
+            assert (cause is not None) == sat_collides(robot, q, obs)
+            event(type(cause).__name__)
 
 
 def reference_causes(robot, spec, obs) -> list:
