@@ -42,8 +42,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="random seed")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for collision checking (default 1)")
-    p.add_argument("--segment-every", type=int, default=1, metavar="K",
-                   help="segment after every K-th iteration (default 1)")
     p.add_argument("--truncate-links", type=int, default=None, metavar="K",
                    help="restrict a chain scenario to its first K links")
 
@@ -78,7 +76,6 @@ def _prove(args, scenario, seed, timeout=None) -> engine.Verdict:
         params=SamplerParams(args.ns, args.d),
         seed=seed,
         connectivity=args.connectivity,
-        segment_every=args.segment_every,
         threads=args.threads,
         timeout=timeout,
     )

@@ -35,6 +35,12 @@ from .segmentation import CONNECTIVITIES, LabelField, project, segment, segment_
 BITS_PER_CELL = 46
 # Most check workers, one process each, a proof forks: far above any host's cores.
 MAX_THREADS = 64
+# Cells scipy labels in the time of one collision check (a check takes
+# 10-17 us, labelling 20-45 ns a cell). The whole grid is labelled once the
+# checks since its last labelling, times this, reach its cell count: so that
+# labelling never costs more than the checking it waits for, and a verdict
+# only the whole grid shows comes at most one labelling's worth of checks late.
+CELLS_PER_CHECK = 256
 
 INFEASIBLE = "Infeasible"
 FEASIBLE_AT_RESOLUTION = "FeasibleAtResolution"
@@ -89,6 +95,7 @@ class Verdict:
                     "hits": s.hits,
                     "checks": s.checks,
                     "propagated": s.propagated,
+                    "labelled_axes": s.labelled_axes,
                     "elapsed_seconds": round(s.elapsed, 6),
                 }
                 for s in self.stats
@@ -119,23 +126,21 @@ def prove_infeasibility(
     params: SamplerParams = None,
     seed=None,
     connectivity: str = "faces",
-    segment_every: int = 1,
     threads: int = 1,
     timeout: float = None,
 ) -> Verdict:
     """Run the proof loop on a scenario and return a Verdict.
 
-    ``segment_every`` trades segmentation work for later detection;
-    segmentation always runs on exhaustion. ``threads`` check workers, at
-    most ``MAX_THREADS``, share the collision checks; one checks in this
-    process. ``timeout`` (seconds, checked at iteration boundaries) raises
-    EngineTimeout; it exists for benchmark harnesses, an untimed run always
-    terminates on its own.
+    Each iteration labels the projections onto the leading axes; the whole
+    grid is labelled on exhaustion, and before that once the checks since
+    its last labelling pay for it (see ``CELLS_PER_CHECK``). ``threads``
+    check workers, at most ``MAX_THREADS``, share the collision checks; one
+    checks in this process. ``timeout`` (seconds, checked at iteration
+    boundaries) raises EngineTimeout; it exists for benchmark harnesses, an
+    untimed run always terminates on its own.
     """
     if params is None:
         params = SamplerParams()
-    if integer("segment_every", segment_every) < 1:
-        raise ValidationError("segment_every must be at least 1")
     if not 1 <= integer("threads", threads) <= MAX_THREADS:
         raise ValidationError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
     if connectivity not in CONNECTIVITIES:
@@ -190,6 +195,7 @@ def prove_infeasibility(
     try:
         sample = sample_obstacle_cells_parallel if threads > 1 else sample_obstacle_cells
         iteration = 0
+        unlabelled = 0  # checks since the whole grid was last labelled
         while True:
             iteration += 1
             it_t0 = time.perf_counter()
@@ -205,25 +211,31 @@ def prove_infeasibility(
                         f"{label} cell was proven to collide during sampling",
                     )
 
-            if exhausted or iteration % segment_every == 0:
-                seg_t0 = time.perf_counter()
-                # apart on the leading axes is apart in the whole grid
-                for k in range(1, spec.ndim + 1):
-                    labels = segment(bm if k == spec.ndim else project(bm, k), connectivity)
-                    apart = segment_check(labels, cells["start"], cells["goal"])
-                    if apart:
-                        break
-                seg_time += time.perf_counter() - seg_t0
+            unlabelled += st.checks
+            whole = exhausted or unlabelled * CELLS_PER_CHECK >= spec.size
+            seg_t0 = time.perf_counter()
+            apart = False
+            # The projections k < n, then the whole grid k = n if due. Apart
+            # on the leading axes is apart in the whole grid.
+            for k in range(1, spec.ndim + whole):
+                labels = segment(bm if k == spec.ndim else project(bm, k), connectivity)
+                st.labelled_axes = k
+                apart = segment_check(labels, cells["start"], cells["goal"])
                 if apart:
-                    return verdict(
-                        INFEASIBLE, "start and goal lie in different free components", labels
-                    )
-                if exhausted:
-                    return verdict(
-                        FEASIBLE_AT_RESOLUTION,
-                        "grid exhausted; start and goal share a free component",
-                        labels,
-                    )
+                    break
+            seg_time += time.perf_counter() - seg_t0
+            if apart:
+                return verdict(
+                    INFEASIBLE, "start and goal lie in different free components", labels
+                )
+            if exhausted:
+                return verdict(
+                    FEASIBLE_AT_RESOLUTION,
+                    "grid exhausted; start and goal share a free component",
+                    labels,
+                )
+            if whole:
+                unlabelled = 0
 
             if timeout is not None and time.perf_counter() - t0 > timeout:
                 raise EngineTimeout(

@@ -39,12 +39,15 @@ class Triangle2:
 
 
 def shoelace_area(vertices) -> float:
-    """Signed area of a closed vertex ring (positive for CCW)."""
+    """Signed area of a closed vertex ring (positive for CCW).
+
+    Sums the fan of triangles from the first vertex, in coordinates relative
+    to it: products of absolute coordinates would cancel far from the origin.
+    """
+    o = vertices[0]
     s = 0.0
-    n = len(vertices)
-    for i in range(n):
-        p, q = vertices[i], vertices[(i + 1) % n]
-        s += p.x * q.y - q.x * p.y
+    for p, q in zip(vertices[1:-1], vertices[2:]):
+        s += (p.x - o.x) * (q.y - o.y) - (q.x - o.x) * (p.y - o.y)
     return 0.5 * s
 
 

@@ -175,6 +175,7 @@ class IterationStats:
     checks: int = 0
     propagated: int = 0
     elapsed: float = 0.0
+    labelled_axes: int = 0  # the most leading axes labelled; ndim for the whole grid
 
 
 def _slice(spec: GridSpec, linear: int, fix_lo: int, fix_hi: int) -> tuple:

@@ -279,7 +279,7 @@ class TestBench:
         assert code == EXIT_FEASIBLE
 
     @pytest.mark.parametrize("flag, value", [
-        ("--threads", "0"), ("--ns", "0"), ("--segment-every", "0"), ("--d", "9"),
+        ("--threads", "0"), ("--ns", "0"), ("--d", "9"),
         ("--timeout", "nan"), ("--timeout", "-1"),
     ])
     def test_invalid_flag_prints_only_the_error(self, capsys, flag, value):

@@ -28,9 +28,23 @@ from support import (
     confirm_with_oracle,
     empty_scene,
     four_link_scene,
+    random_chain_scene,
+    rigid_wall_scene,
     square,
     three_band_scene,
 )
+
+
+def one_axis_scene() -> Scenario:
+    """One link between two blocks on a circle of 4,096 cells."""
+    chain = SerialChain((0, 0), [(1.0, 0.02)])
+    return Scenario(
+        robot=chain,
+        obstacles=[square(0.6, 0.0, 0.1), square(-0.6, 0.0, 0.1)],
+        start=(math.radians(90),),
+        goal=(math.radians(270),),
+        grid=chain_grid(chain, [4096]),
+    )
 
 
 class TestVerdicts:
@@ -163,12 +177,64 @@ class TestLoopBehavior:
         b = prove_infeasibility(sc, SamplerParams(20, 4), seed=7)
         assert (a.kind, a.digest) == (b.kind, b.digest)
 
-    def test_segment_every_delays_detection(self):
-        sc = three_band_scene(36)
-        every = prove_infeasibility(sc, SamplerParams(3, 2), seed=5, segment_every=1)
-        lazy = prove_infeasibility(sc, SamplerParams(3, 2), seed=5, segment_every=4)
-        assert every.kind == lazy.kind == INFEASIBLE
-        assert lazy.iterations >= every.iterations
+    @pytest.mark.parametrize("scene, params, seed", [
+        pytest.param(three_band_scene, SamplerParams(3, 2), 5, id="three_bands"),
+        pytest.param(rigid_wall_scene, SamplerParams(), 1, id="rigid_wall"),
+        pytest.param(empty_scene, SamplerParams(10, 3), 0, id="empty"),
+        pytest.param(lambda: four_link_scene(8, block_angles=(90,)), SamplerParams(), 0,
+                     id="four_link_exhausted"),
+        pytest.param(one_axis_scene, SamplerParams(1, 2), 4, id="one_axis"),
+    ])
+    def test_whole_grid_waits_for_its_checks(self, scene, params, seed):
+        # Each labelling of the whole grid but an exhausted proof's last is
+        # paid for by CELLS_PER_CHECK cells per check made since the one
+        # before, and each iteration whose checks have paid labels it. The
+        # one-axis grid's unpaid iterations label nothing at all.
+        sc = scene()
+        verdict = prove_infeasibility(sc, params, seed=seed)
+        n, size = sc.grid.ndim, sc.grid.size
+        exhausted = verdict.kind == FEASIBLE_AT_RESOLUTION
+        checks = sum(s.checks for s in verdict.stats)
+        axes = [entry["labelled_axes"] for entry in verdict.to_dict()["per_iteration"]]
+        assert axes.count(n) <= exhausted + checks * engine.CELLS_PER_CHECK // size
+        unlabelled = 0
+        for st in verdict.stats[:-1]:
+            unlabelled += st.checks
+            due = unlabelled * engine.CELLS_PER_CHECK >= size
+            assert st.labelled_axes == (n if due else n - 1)
+            if due:
+                unlabelled = 0
+        assert axes[-1] == verdict.labels.spec.ndim
+        if exhausted:
+            assert axes[-1] == n
+
+    def test_verdict_on_the_whole_grid_only(self):
+        # Criterion 1's crowded random scenes: the first that separates only
+        # on its whole grid still proves Infeasible there.
+        rng = np.random.default_rng(0)
+        for seed in range(40):
+            sc = random_chain_scene(rng, max_cells=16**3, crowded=True)
+            verdict = prove_infeasibility(sc, SamplerParams(25, 3), seed=seed)
+            if verdict.kind == INFEASIBLE and verdict.labels.spec.ndim == sc.grid.ndim:
+                break
+        else:
+            pytest.fail("no scene separates only on its whole grid")
+        assert verdict.to_dict()["separating_axes"] == sc.grid.ndim
+        assert verdict.stats[-1].labelled_axes == sc.grid.ndim
+        confirm_with_oracle(sc, verdict)
+
+    @pytest.mark.parametrize("seed, digest, iterations", [
+        (0, "a63108f8d48819deeb3b21eff8af0b779f32e9e0cb48c6363ae84ad510e3d7e4", 1),
+        (1, "9cf4220f4c69fa923672445913dd737d679e3d5f5e497324751df6a0b20e666d", 2),
+        (2, "ea972731487e1d54982aea972ccacd4a9cff4ab1058679d36265391b96c384bd", 1),
+    ])
+    def test_rigid_wall_digests_pinned(self, seed, digest, iterations):
+        # Recorded when every iteration labelled the whole grid: the rule
+        # changes which grids are labelled, not what the proof marks.
+        verdict = prove_infeasibility(rigid_wall_scene(), seed=seed)
+        assert (verdict.kind, verdict.digest, verdict.iterations) == (
+            INFEASIBLE, digest, iterations
+        )
 
     def test_stats_accumulate_per_iteration(self):
         verdict = prove_infeasibility(empty_scene(), SamplerParams(10, 3), seed=0)
@@ -213,11 +279,8 @@ class TestLoopBehavior:
             prove_infeasibility(sc, SamplerParams(1, 0), seed=0, timeout=0.0)
 
     def test_parameter_validation(self):
-        sc = empty_scene()
         with pytest.raises(ValidationError):
-            prove_infeasibility(sc, segment_every=0)
-        with pytest.raises(ValidationError):
-            prove_infeasibility(sc, threads=0)
+            prove_infeasibility(empty_scene(), threads=0)
 
     @pytest.fixture
     def no_proof(self, monkeypatch):
@@ -240,7 +303,7 @@ class TestLoopBehavior:
             prove_infeasibility(empty_scene(), SamplerParams(1, 9), seed=0, threads=threads)
 
     @pytest.mark.parametrize("name, value", [
-        ("segment_every", math.nan), ("segment_every", 2.0), ("threads", 2.5), ("threads", "2"),
+        ("threads", 2.5), ("threads", "2"),
     ])
     def test_counts_are_integers(self, no_proof, name, value):
         with pytest.raises(ValidationError, match=name):

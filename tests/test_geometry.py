@@ -14,6 +14,8 @@ from noplan.geometry import (
     triangulate,
 )
 
+from support import square
+
 
 def tri(*coords):
     pts = [Point2(x, y) for x, y in coords]
@@ -94,6 +96,11 @@ class TestPolygonValidation:
         p = Polygon2([(0, 0), (1, 0), (1, 1), (0, 1)])
         assert p.area() == pytest.approx(1.0)
         assert p.bbox() == (0, 0, 1, 1)
+        # Squares 0.004 and 0.02 across, far from the origin: products of
+        # absolute coordinates would cancel to zero area and to 0.000366.
+        for side in (0.004, 0.02):
+            far = square(999995.586, 999998.361, side / 2)
+            assert far.area() == pytest.approx(side * side, rel=1e-6)
 
 
 class TestTriangulate:
