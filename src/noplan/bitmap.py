@@ -12,6 +12,7 @@ the binary dump format, so independently written readers agree bit-exactly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -33,12 +34,17 @@ def integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Shape, bounds and wrap metadata of a discretized configuration space."""
+    """Shape, bounds and wrap metadata of a discretized configuration space.
+
+    ``strides`` holds the linear-index stride of each axis, the first axis's
+    1, followed by the cell count.
+    """
 
     dims: tuple
     wrap: tuple
     lo: tuple
     hi: tuple
+    strides: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(integer(f"axis {i} size", d) for i, d in enumerate(self.dims))
@@ -60,6 +66,8 @@ class GridSpec:
         object.__setattr__(self, "wrap", wrap)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        strides = tuple(itertools.accumulate(dims, operator.mul, initial=1))
+        object.__setattr__(self, "strides", strides)
 
     @property
     def ndim(self) -> int:
@@ -67,10 +75,7 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        s = 1
-        for d in self.dims:
-            s *= d
-        return s
+        return self.strides[-1]
 
     def step(self, axis: int) -> float:
         return (self.hi[axis] - self.lo[axis]) / self.dims[axis]
@@ -79,22 +84,9 @@ class GridSpec:
         """Coordinate of the centre of cell ``m`` on one axis."""
         return self.lo[axis] + (m + 0.5) * self.step(axis)
 
-    def centres(self, axis: int) -> tuple:
-        """Coordinate of each cell centre on one axis."""
-        return tuple(self.centre(axis, m) for m in range(self.dims[axis]))
-
     def prefix(self, k: int) -> "GridSpec":
         """The grid on the first ``k`` axes."""
         return GridSpec(self.dims[:k], self.wrap[:k], self.lo[:k], self.hi[:k])
-
-    def strides(self) -> tuple:
-        """Linear-index stride of each axis (first axis has stride 1)."""
-        out = []
-        s = 1
-        for d in self.dims:
-            out.append(s)
-            s *= d
-        return tuple(out)
 
 
 def multi_to_lin(spec: GridSpec, multi) -> int:
@@ -159,7 +151,7 @@ def neighbors(spec: GridSpec, linear: int) -> list:
     """
     multi = lin_to_multi(spec, linear)
     offsets = [0]
-    for m, d, wrap, stride in zip(multi, spec.dims, spec.wrap, spec.strides()):
+    for m, d, wrap, stride in zip(multi, spec.dims, spec.wrap, spec.strides):
         if wrap:
             coords = ((m - 1) % d, m) if d == 2 else ((m - 1) % d, m, (m + 1) % d)
         else:

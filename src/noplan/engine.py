@@ -106,12 +106,13 @@ class Verdict:
         return json.dumps(self.to_dict(), **kw)
 
 
-def _check_footprint(spec):
-    """Raise TooLarge when a proof's per-cell structures on this grid
-    would exceed the host's physical memory. From 2**31 - 2 cells on,
-    ``scipy.ndimage.label`` returns 64-bit labels (``need_64bits``), 32
-    bits per cell more than the int32 labels ``BITS_PER_CELL`` counts."""
-    bits = BITS_PER_CELL + (32 if spec.size >= 2**31 - 2 else 0)
+def _check_footprint(spec, bits_per_cell: int = BITS_PER_CELL):
+    """Raise TooLarge when per-cell structures of ``bits_per_cell`` bits,
+    a proof's by default, on this grid would exceed the host's physical
+    memory. From 2**31 - 2 cells on, ``scipy.ndimage.label`` returns 64-bit
+    labels (``need_64bits``), 32 bits per cell more than the int32 labels
+    the count assumes."""
+    bits = bits_per_cell + (32 if spec.size >= 2**31 - 2 else 0)
     need = spec.size * bits // 8
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bitmap import cell_to_config
 from .errors import InvalidConfiguration, ValidationError
 from .geometry import (
     Point2,
@@ -272,19 +273,19 @@ class ChainCells:
     links later links test for self contact, first ``SelfHit`` so far). A
     cell then costs its last link's entry, computed the same way. Each
     level starts over by itself once it holds ``MEMO_CELLS`` entries.
-    Joint values come from the grid's centre tables, so every float equals
-    ``collision_check``'s on ``cell_to_config``'s configuration.
+    A joint value is ``lo + (m + 0.5) * step``, the expression of
+    ``GridSpec.centre``, so every float equals ``collision_check``'s on
+    ``cell_to_config``'s configuration.
     """
 
     def __init__(self, chain: SerialChain, spec, obs: PreparedObstacles):
         self.links = chain.links
         self.obs = obs
-        self.centres = [spec.centres(a) for a in range(spec.ndim)]
-        # The tables increase, so their two ends bound every cell.
-        for end in (0, -1):
-            chain._validate(tuple(t[end] for t in self.centres))
-        self.strides = (*spec.strides(), spec.size)
-        self.dims = spec.dims
+        # Centres increase along each axis, so the first and last cells bound every cell.
+        for corner in ((0,) * spec.ndim, tuple(d - 1 for d in spec.dims)):
+            chain._validate(cell_to_config(spec, corner))
+        self.lo, self.strides, self.dims = spec.lo, spec.strides, spec.dims
+        self.step = tuple(map(spec.step, range(spec.ndim)))
         self.root = (0.0, chain.base.x, chain.base.y, (), None)
         self.memo = [{} for _ in range(chain.dof - 1)]
 
@@ -312,7 +313,7 @@ class ChainCells:
         if type(parent) is not tuple:
             return parent
         angle, jx, jy, bodies, hit = parent
-        angle += self.centres[k][lin // self.strides[k] % self.dims[k]]
+        angle += self.lo[k] + (lin // self.strides[k] % self.dims[k] + 0.5) * self.step[k]
         body, ex, ey = _link_body(jx, jy, angle, self.links[k])
         oi = _raws_hit_obstacle(*body, self.obs)
         if oi is not None:
@@ -430,16 +431,18 @@ class RigidSE2:
 
 class BodyCells:
     """``collision_check``'s cause at each cell centre of a rigid body's
-    grid, by linear index, with the coordinates read from the grid's centre
-    tables."""
+    grid, by linear index. A coordinate is ``lo + (m + 0.5) * step``, the
+    expression of ``GridSpec.centre``, so it equals ``cell_to_config``'s."""
 
     def __init__(self, body: RigidSE2, spec, obs: PreparedObstacles):
         self.body = body
         self.obs = obs
-        self.xs, self.ys, self.phis = (spec.centres(a) for a in range(3))
+        self.lo, self.dims = spec.lo, spec.dims
+        self.step = tuple(map(spec.step, range(3)))
 
     def __call__(self, lin: int) -> object:
-        rest, mx = divmod(lin, len(self.xs))
-        mphi, my = divmod(rest, len(self.ys))
-        q = (self.xs[mx], self.ys[my], self.phis[mphi])
+        (x, y, phi), (nx, ny, _), (sx, sy, sphi) = self.lo, self.dims, self.step
+        rest, mx = divmod(lin, nx)
+        mphi, my = divmod(rest, ny)
+        q = (x + (mx + 0.5) * sx, y + (my + 0.5) * sy, phi + (mphi + 0.5) * sphi)
         return self.body.collision_check(q, self.obs).cause

@@ -187,7 +187,7 @@ def _slice(spec: GridSpec, linear: int, fix_lo: int, fix_hi: int) -> tuple:
     arithmetic progression of step ``outer``, so the cells are
     ``fixed + k * outer + j`` for ``j < inner``.
     """
-    s = (*spec.strides(), spec.size)
+    s = spec.strides
     return s[fix_lo], s[fix_hi + 1], linear % s[fix_hi + 1] - linear % s[fix_lo]
 
 
@@ -324,7 +324,7 @@ class CheckPool:
             return
         self.batch_size = CELLS_PER_WORKER * workers
         # On one axis no memo is shared, so the cells themselves spread.
-        self._prefix = spec.strides()[-1] if spec.ndim > 1 else spec.size
+        self._prefix = spec.strides[-2] if spec.ndim > 1 else spec.size
         # Fork: the workers start without re-importing numpy or pickling
         # the robot, and the prover starts no thread a fork could copy.
         ctx = multiprocessing.get_context("fork")

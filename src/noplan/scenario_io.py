@@ -38,7 +38,6 @@ class Scenario:
     grid: GridSpec
     obstacle_ids: tuple = None
     name: str = ""
-    truncate_to_links: int = None
     _prepared: PreparedObstacles = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,7 +85,6 @@ class Scenario:
             start=self.start[:k],
             goal=self.goal[:k],
             grid=self.grid.prefix(k),
-            truncate_to_links=k,
         )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from noplan import kinematics
 from noplan.bitmap import (
     CSpaceBitmap,
     GridSpec,
@@ -16,9 +17,11 @@ from noplan.bitmap import (
     neighbors,
 )
 from noplan.errors import IncompatibleGrids, OutOfBounds, OutOfRange, ValidationError
+from noplan.geometry import Point2
+from noplan.kinematics import PreparedObstacles, RigidSE2, SerialChain
 from noplan.scenario_io import se2_grid
 
-from support import grid_and_cell
+from support import grid_and_cell, square
 
 
 def grid(dims, wrap=None, lo=None, hi=None):
@@ -55,7 +58,7 @@ class TestGridSpec:
     def test_size_and_strides(self):
         g = grid([5, 4, 3])
         assert g.size == 60
-        assert g.strides() == (1, 5, 20)
+        assert g.strides == (1, 5, 20, 60)
 
 
 class TestIndexing:
@@ -120,13 +123,34 @@ class TestCellConfigMapping:
         pytest.param(se2_grid([[0.0, 6.7], [0.0, 3.9]], [134, 78, 144]), id="se2-2x"),
         pytest.param(grid([11, 3], lo=[-0.3, 1e-3], hi=[0.7, 0.1]), id="awkward"),
     ])
-    def test_centres_are_the_cell_centre_floats(self, g):
-        # The kernels read centres(), the reference reads cell_to_config():
-        # the two must be the same float, not merely close.
+    def test_centres_are_the_cell_centre_floats(self, g, monkeypatch):
+        # The cell kernels compute each cell's coordinates, the reference
+        # check reads cell_to_config(): the two must pass the same floats,
+        # not merely close ones, to RigidSE2.collision_check, or as a
+        # chain's running angle sums to _link_body. Every sweep along an
+        # axis, with the other axes at their first or last cell.
+        seen = []
+        if g.ndim == 3:
+            robot = RigidSE2(square(0.0, 0.0, 0.1), Point2(0.0, 0.0))
+            check = RigidSE2.collision_check
+            monkeypatch.setattr(RigidSE2, "collision_check", lambda self, q, obs:
+                                seen.append(q) or check(self, q, obs))
+        else:
+            robot = SerialChain((0.0, 0.0), [1.0] * g.ndim)
+            link_body = kinematics._link_body
+            monkeypatch.setattr(kinematics, "_link_body", lambda x, y, angle, link:
+                                seen.append(angle) or link_body(x, y, angle, link))
+        obs = PreparedObstacles([])
         for axis in range(g.ndim):
-            for m, centre in enumerate(g.centres(axis)):
-                multi = tuple(m if a == axis else 0 for a in range(g.ndim))
-                assert centre == cell_to_config(g, multi)[axis]
+            for rest in ([0] * g.ndim, [n - 1 for n in g.dims]):
+                for m in range(g.dims[axis]):
+                    multi = (*rest[:axis], m, *rest[axis + 1:])
+                    robot.cell_kernel(g, obs)(multi_to_lin(g, multi))
+                    got = seen[:]
+                    seen.clear()
+                    robot.collision_check(cell_to_config(g, multi), obs)
+                    assert got and got == seen
+                    seen.clear()
 
 
 def moore(spec, multi) -> list:

@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from noplan import engine
 from noplan.bitmap import CSpaceBitmap, GridSpec, config_to_cell
 from noplan.cli import (
     EXIT_ERROR,
     EXIT_FEASIBLE,
     EXIT_INFEASIBLE,
     EXIT_TIMEOUT,
+    RENDER_BITS_PER_CELL,
     _load,
     build_parser,
     main,
@@ -341,6 +343,29 @@ class TestRender:
         code, out = run(capsys, "render", str(target), "--out", prefix)
         assert code == 0
         assert json.loads(out)["components"] >= 2
+
+    def test_dump_too_large_for_memory(self, capsys, monkeypatch, tmp_path):
+        # The memory a render needs is charged before it labels: with one
+        # byte less than that faked, it writes no image.
+        spec = GridSpec((9, 6), (True, False), (0.0, 0.0), (1.0, 1.0))
+        dump, prefix = str(tmp_path / "d.bin"), str(tmp_path / "r")
+        CSpaceBitmap(spec).dump(dump)
+        need = spec.size * RENDER_BITS_PER_CELL // 8
+
+        def fake_memory(nbytes):
+            sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+            monkeypatch.setattr(engine.os, "sysconf", sizes.__getitem__)
+
+        fake_memory(need - 1)
+        code, out = run(capsys, "render", dump, "--out", prefix)
+        assert code == EXIT_ERROR
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "TooLarge"
+        assert not list(tmp_path.glob("*.pgm"))
+        fake_memory(need)
+        code, out = run(capsys, "render", dump, "--out", prefix)
+        assert code == 0
+        assert json.loads(out)["components"] == 1
 
     def test_rejects_higher_dimensions(self, capsys):
         code, out = run(capsys, "render", FIVE_LINK)

@@ -480,7 +480,9 @@ class TestInscribedDisc:
     point is a base hit, which marks the whole heading column. The rule
     changes causes only, and every heading it implies collides."""
 
-    HEADINGS = se2_grid(((0.0, 1.0), (0.0, 1.0)), [2, 2, 72]).centres(2)
+    HEADINGS = tuple(
+        map(se2_grid(((0.0, 1.0), (0.0, 1.0)), [2, 2, 72]).centre, [2] * 72, range(72))
+    )
 
     @settings(max_examples=100, deadline=None)
     @given(convex_bodies(), st.integers(0, 2**32 - 1))
@@ -648,6 +650,25 @@ class TestCellKernel:
             tracemalloc.stop()
         assert [len(level) for level in kernel.memo] == [16, 256, 4096]
         assert peak <= 1_200_000
+
+    @pytest.mark.parametrize("kind", ["serial_chain", "rigid_se2"])
+    def test_kernel_keeps_no_table_of_axis_cells(self, kind):
+        """A kernel keeps a few numbers per axis, not one per cell of an
+        axis: a table of an axis's 10^6 centres would take 32 MB."""
+        if kind == "serial_chain":
+            robot = SerialChain((0.0, 0.0), [1.0, 0.5])
+            spec = chain_grid(robot, [10**6, 2])
+        else:
+            robot = RigidSE2(square(0.0, 0.0, 0.1), Point2(0.0, 0.0))
+            spec = se2_grid(((0.0, 1.0), (0.0, 1.0)), [2, 2, 10**6])
+        tracemalloc.start()
+        try:
+            kernel = robot.cell_kernel(spec, PreparedObstacles([]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert kernel(spec.size - 1) is None
 
     def test_grid_beyond_joint_limits_is_refused(self):
         chain = SerialChain((0, 0), [1.0, 1.0], [None, (0.0, 1.0)])

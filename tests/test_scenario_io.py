@@ -168,7 +168,6 @@ class TestScenarioFromDict:
         assert sc.robot.dof == 1
         assert sc.grid.dims == (12,)
         assert sc.start == (0.0,)
-        assert sc.truncate_to_links == 1
 
     @pytest.mark.parametrize("field, value", [
         ("truncate_to_links", 1.5), ("truncate_to_links", 1.0), ("grid", {"dims": [12, 12.5]}),
@@ -238,7 +237,6 @@ class TestScenarioObject:
         assert cut.robot.dof == 1
         assert cut.grid.dims == (12,)
         assert cut.goal == (sc.goal[0],)
-        assert cut.truncate_to_links == 1
 
     def test_truncate_full_is_identity(self):
         sc = scenario_from_dict(chain_doc())
