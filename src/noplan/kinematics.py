@@ -432,17 +432,41 @@ class RigidSE2:
 class BodyCells:
     """``collision_check``'s cause at each cell centre of a rigid body's
     grid, by linear index. A coordinate is ``lo + (m + 0.5) * step``, the
-    expression of ``GridSpec.centre``, so it equals ``cell_to_config``'s."""
+    expression of ``GridSpec.centre``, so it equals ``cell_to_config``'s.
+
+    A cell whose reference point is out of every obstacle's reach is free
+    without the geometry. ``reach`` is the largest ``|rx| + |ry|`` over the
+    body's vertices relative to the reference point. ``body_raws`` puts a
+    vertex at ``x + c*rx - s*ry`` and ``y + s*rx + c*ry``; since ``|c|`` and
+    ``|s|`` are at most 1 and rounding is monotone, ``|fl(c*rx)| <= |rx|``
+    and ``|fl(s*ry)| <= |ry|``, so every vertex lies within ``reach`` of
+    (x, y) but for two additions' rounding, a few units of 2^-53 of
+    ``max(|x|, |y|, reach)``. ``r`` adds DISC_MARGIN of that, which covers
+    those additions and the rounding of the box ``[x - r, x + r] x [y - r,
+    y + r]`` itself. ``collision_check`` reports a cause only when the
+    reference point lies in an obstacle's box or the body's box meets one
+    (the prefilter of ``_raws_hit_obstacle``; the disc rule runs only after
+    a contact), and in either case the reach box meets that obstacle's box.
+    """
 
     def __init__(self, body: RigidSE2, spec, obs: PreparedObstacles):
         self.body = body
         self.obs = obs
         self.lo, self.dims = spec.lo, spec.dims
         self.step = tuple(map(spec.step, range(3)))
+        self.reach = max(abs(r[i]) + abs(r[i + 1]) for r in body._rel for i in (0, 2, 4))
 
     def __call__(self, lin: int) -> object:
         (x, y, phi), (nx, ny, _), (sx, sy, sphi) = self.lo, self.dims, self.step
         rest, mx = divmod(lin, nx)
         mphi, my = divmod(rest, ny)
-        q = (x + (mx + 0.5) * sx, y + (my + 0.5) * sy, phi + (mphi + 0.5) * sphi)
-        return self.body.collision_check(q, self.obs).cause
+        x += (mx + 0.5) * sx
+        y += (my + 0.5) * sy
+        reach = self.reach
+        r = reach + DISC_MARGIN * max(abs(x), abs(y), reach)
+        x0, y0, x1, y1 = x - r, y - r, x + r, y + r
+        for ox0, oy0, ox1, oy1 in self.obs.bboxes:
+            if not (x1 < ox0 or ox1 < x0 or y1 < oy0 or oy1 < y0):
+                q = (x, y, phi + (mphi + 0.5) * sphi)
+                return self.body.collision_check(q, self.obs).cause
+        return None

@@ -135,12 +135,14 @@ class TestCellConfigMapping:
             check = RigidSE2.collision_check
             monkeypatch.setattr(RigidSE2, "collision_check", lambda self, q, obs:
                                 seen.append(q) or check(self, q, obs))
+            # Within reach of every cell, so that the kernel checks each one.
+            obs = PreparedObstacles([square(3.35, 1.95, 5.0)])
         else:
             robot = SerialChain((0.0, 0.0), [1.0] * g.ndim)
             link_body = kinematics._link_body
             monkeypatch.setattr(kinematics, "_link_body", lambda x, y, angle, link:
                                 seen.append(angle) or link_body(x, y, angle, link))
-        obs = PreparedObstacles([])
+            obs = PreparedObstacles([])
         for axis in range(g.ndim):
             for rest in ([0] * g.ndim, [n - 1 for n in g.dims]):
                 for m in range(g.dims[axis]):

@@ -26,7 +26,7 @@ from noplan.kinematics import (
 
 from noplan.scenario_io import chain_grid, se2_grid
 
-from support import four_link_scene, regular_polygon, square
+from support import four_link_scene, regular_polygon, rigid_wall_scene, square
 
 
 def link_raws(chain, q):
@@ -686,3 +686,82 @@ class TestCellKernel:
             obs = PreparedObstacles([square(*rng.uniform(-0.8, 0.8, 2), 0.2) for _ in range(3)])
             seen.update(type(c).__name__ for c in assert_kernel_matches(robot, spec, obs, 0))
         assert min(seen[k] for k in ("BaseInObstacle", "ObstacleHit", "NoneType")) >= 30, seen
+
+    @pytest.mark.parametrize("axis, sign", [(0, 1), (0, -1), (1, 1), (1, -1)])
+    def test_rigid_body_kernel_matches_reference_at_its_reach(self, axis, sign):
+        """An obstacle's edge lies at the body's reach from a column of cell
+        centres, or 1-4 ulps either side of it, on grids shifted by up to
+        1e6 with bodies from 1e-6 to 1 across. The body's farthest vertex
+        lies on the edge's axis, so at heading 0 (a cell centre here) it
+        reaches exactly that far, and the contact starts or ends there."""
+        rng = np.random.default_rng(26)
+        seen = Counter()
+        for _ in range(12):
+            size = 10 ** rng.uniform(-6, 0)
+            shift = rng.choice([0.0, 1e3, 1e6]) * rng.uniform(-1, 1, 2)
+            # A star around the reference point, off the body's centre, whose
+            # first vertex is its farthest in |rx| + |ry|, on the axis.
+            ref = Point2(*(size * rng.uniform(-1, 1, 2)))
+            n = int(rng.integers(4, 8))
+            angles = 2 * math.pi * (np.arange(1, n) + rng.uniform(-0.3, 0.3, n - 1)) / n
+            far = np.zeros(2)
+            far[axis] = sign * size
+            turn = math.atan2(far[1], far[0])
+            pts = [far] + [
+                size * rng.uniform(0.2, 0.7) * np.array([math.cos(turn + a), math.sin(turn + a)])
+                for a in angles
+            ]
+            body = Polygon2([(ref.x + p[0], ref.y + p[1]) for p in pts])
+            rel = [(v.x - ref.x, v.y - ref.y) for v in body.vertices]
+            reach = max(abs(rx) + abs(ry) for rx, ry in rel)
+            assert abs(rel[0][axis]) == reach
+            robot = RigidSE2(body, ref)
+            # Cell centres 0.4 reach apart; headings 0, 1, ..., 5 exactly.
+            step = 0.4 * reach
+            lo = shift - 4 * step
+            spec = GridSpec(
+                (8, 6, 6), (False, False, True), (*lo, -0.5), (*(lo + 8 * step), 5.5)
+            )
+            column = spec.centre(axis, int(rng.integers(0, spec.dims[axis])))
+            for ulps in range(-4, 5):
+                edge = column + sign * reach
+                for _ in range(abs(ulps)):
+                    edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+                # A slab 4 deep beyond the edge, 8 long across the grid.
+                box = [sorted((edge, edge + sign * 4.0)), (shift[1 - axis] - 4.0, shift[1 - axis] + 4.0)]
+                if axis:
+                    box.reverse()
+                (x0, x1), (y0, y1) = box
+                obs = PreparedObstacles([Polygon2([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])])
+                causes = assert_kernel_matches(robot, spec, obs, ulps + 4)
+                seen.update(type(cause).__name__ for cause in causes)
+        assert min(seen[k] for k in ("ObstacleHit", "NoneType")) >= 100, seen
+
+    def test_rigid_body_cells_out_of_reach_skip_the_geometry(self, monkeypatch):
+        """On ``rigid_body_wall``'s grid a cell whose reference point lies
+        farther than the body's reach (0.25 + 0.15) from the wall's box is
+        free without a ``collision_check`` call; every other cell calls it."""
+        calls = []
+        check = RigidSE2.collision_check
+
+        def counted(self, q, obs):
+            calls.append(q)
+            return check(self, q, obs)
+
+        monkeypatch.setattr(RigidSE2, "collision_check", counted)
+        sc = rigid_wall_scene()
+        obs = sc.prepared()
+        (x0, y0, x1, y1), = obs.bboxes
+        kernel = sc.robot.cell_kernel(sc.grid, obs)
+        assert kernel.reach == 0.4
+        skipped = 0
+        for lin in range(0, sc.grid.size, 7):
+            x, y, _ = cell_to_config(sc.grid, lin_to_multi(sc.grid, lin))
+            beyond = x + 0.4 < x0 or x1 < x - 0.4 or y + 0.4 < y0 or y1 < y - 0.4
+            calls.clear()
+            cause = kernel(lin)
+            assert len(calls) == (not beyond)
+            skipped += beyond
+            if beyond:
+                assert cause is None
+        assert skipped > 0.7 * sc.grid.size / 7
