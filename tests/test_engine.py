@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -235,6 +236,21 @@ class TestLoopBehavior:
         assert (verdict.kind, verdict.digest, verdict.iterations) == (
             INFEASIBLE, digest, iterations
         )
+
+    @pytest.mark.parametrize("seed, checks, digest", [
+        (0, 5340, "2424b8498bad49a100ed2d42e016886e31a0a662e991d9a15560b4b0464f6485"),
+        (1, 4854, "5d58ba3c2a991063b5cb40b199d34dd283fa9d82dd8f29afd1051c99607c39ef"),
+        (2, 5335, "56b5259209998ebb86fb4f7952c9bac41b168cb9e162c8ea39b942e0456220ca"),
+    ])
+    def test_rigid_wall_at_134_78_144_pinned(self, seed, checks, digest):
+        # The benchmark's grid, where a buried reference point marks a
+        # heading column of 144 cells in 2 bit phases. Recorded when every
+        # column was marked through strided byte views, one per phase.
+        sc = load_scenario(SCENARIO_DIR / "rigid_body_wall.yaml")
+        sc = dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, dims=[134, 78, 144]))
+        verdict = prove_infeasibility(sc, seed=seed)
+        assert (verdict.kind, verdict.digest, verdict.iterations) == (INFEASIBLE, digest, 3)
+        assert sum(s.checks for s in verdict.stats) == checks
 
     def test_stats_accumulate_per_iteration(self):
         verdict = prove_infeasibility(empty_scene(), SamplerParams(10, 3), seed=0)

@@ -21,6 +21,7 @@ from noplan.sampler import (
     CheckPool,
     SamplerParams,
     SampleSet,
+    _slice,
     _slice_indices,
     cells_implied_by,
     propagate,
@@ -188,6 +189,12 @@ def test_sample_set_matches_a_set_model(case):
         ss.draw(rng)
 
 
+def slice_indices(spec, linear, lo, hi):
+    """Linear indices of the cells agreeing with ``linear`` on axes lo..hi."""
+    inner, outer, fixed = _slice(spec, linear, lo, hi)
+    return _slice_indices(inner, outer, fixed, spec.size // outer)
+
+
 def agreement_oracle(spec, multi, lo, hi):
     """All linear indices whose multi-index agrees with ``multi`` on axes
     lo..hi inclusive, by brute enumeration."""
@@ -229,7 +236,7 @@ class TestCausePropagation:
     def test_slices_come_out_strictly_increasing(self):
         spec = torus([5, 4, 3, 2])
         for lo, hi in [(0, 0), (0, 3), (1, 2), (1, 3), (2, 2), (3, 3)]:
-            got = _slice_indices(spec, multi_to_lin(spec, (3, 2, 1, 0)), lo, hi)
+            got = slice_indices(spec, multi_to_lin(spec, (3, 2, 1, 0)), lo, hi)
             assert (np.diff(got) > 0).all()
             assert got.tolist() == agreement_oracle(spec, (3, 2, 1, 0), lo, hi)
 
@@ -286,7 +293,7 @@ def test_slices_match_enumeration_on_random_grids(case):
     multi = lin_to_multi(spec, lin)
     for lo in range(spec.ndim):
         for hi in range(lo, spec.ndim):
-            got = _slice_indices(spec, lin, lo, hi)
+            got = slice_indices(spec, lin, lo, hi)
             assert got.tolist() == agreement_oracle(spec, multi, lo, hi)
 
 
@@ -323,12 +330,32 @@ STRADDLING = (
 )
 
 
+def column_case(dims):
+    """A buried reference point on an SE(2) grid: its heading column."""
+    spec = GridSpec(dims, (False, False, True), (0.0,) * 3, (1.0,) * 3)
+    robot = RigidSE2(square(0, 0, 0.5), (0, 0))
+    return spec, robot, multi_to_lin(spec, (dims[0] // 2, dims[1] // 3, 5)), BaseInObstacle(0), 1
+
+
+def row_case(cells):
+    """A link-1 hit on a 3 x ``cells`` chain grid: ``cells`` cells in 8 bit
+    phases."""
+    spec = GridSpec((3, cells), (True, True), (0.0, 0.0), (1.0, 1.0))
+    return spec, SerialChain((0, 0), [1.0, 1.0]), 1, ObstacleHit(1, 0), 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(propagation_cases())
 @example(STRADDLING)
+@example(row_case(sampler.PLAN_CELLS))
+@example(row_case(sampler.PLAN_CELLS + 1))
+@example(column_case((134, 78, 144)))  # outer = 4 mod 8: 2 bit phases
+@example(column_case((67, 39, 72)))  # odd outer: 8 bit phases
 def test_propagate_matches_the_index_path(case):
     """Marking a slice in place leaves both bit arrays, the count and the
-    set's size as listing its cells and removing them would."""
+    set's size as listing its cells and removing them would, through a
+    byte plan and through strided views alike: each case runs with every
+    slice planned, with the module's cutover, and with none planned."""
     spec, robot, lin, cause, seed = case
     rng = np.random.default_rng(seed)
     visited = np.flatnonzero(rng.random(spec.size) < rng.random())
@@ -340,15 +367,46 @@ def test_propagate_matches_the_index_path(case):
         bm.set_obstacle_bulk(obstacle)
         return bm, ss
 
-    bm, ss = prior()
-    count = propagate(bm, ss, robot, lin, cause)
     ref_bm, ref_ss = prior()
     removed = ref_ss.remove_bulk(cells_implied_by(robot, spec, lin, cause))
     ref_bm.set_obstacle_bulk(removed)
-    assert count == removed.size
-    assert len(ss) == len(ref_ss)
-    assert ss._visited.tobytes() == ref_ss._visited.tobytes()
-    assert bm.bits.tobytes() == ref_bm.bits.tobytes()
+    for cutover in (spec.size, sampler.PLAN_CELLS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "PLAN_CELLS", cutover)
+            bm, ss = prior()
+            count = propagate(bm, ss, robot, lin, cause)
+        assert count == removed.size
+        assert len(ss) == len(ref_ss)
+        assert ss._visited.tobytes() == ref_ss._visited.tobytes()
+        assert bm.bits.tobytes() == ref_bm.bits.tobytes()
+
+
+def test_slice_over_the_cutover_caches_no_plan():
+    sampler._plan.cache_clear()
+    for cells, cached in ((sampler.PLAN_CELLS + 1, 0), (sampler.PLAN_CELLS, 1)):
+        spec, robot, lin, cause, _ = row_case(cells)
+        bm, ss = CSpaceBitmap(spec), SampleSet(spec.size)
+        assert propagate(bm, ss, robot, lin, cause) == cells
+        assert sampler._plan.cache_info().currsize == cached
+
+
+def test_plan_cache_holds_under_two_megabytes():
+    """A cache full of the largest plans, each cell of them in its own
+    byte, stays under 2 MB."""
+    sampler._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for outer in range(9, 9 + 2 * sampler.PLAN_CACHE):
+            at, mask, keep = sampler._plan(1, outer, sampler.PLAN_CELLS, 7)
+            assert at.size == sampler.PLAN_CELLS
+        del at, mask, keep
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sampler._plan.cache_info().currsize == sampler.PLAN_CACHE
+    sampler._plan.cache_clear()
+    assert held <= 2 * 2**20
 
 
 def test_propagation_holds_no_per_cell_array():
