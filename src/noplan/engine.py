@@ -95,6 +95,7 @@ class Verdict:
                     "hits": s.hits,
                     "checks": s.checks,
                     "propagated": s.propagated,
+                    "freed": s.freed,
                     "labelled_axes": s.labelled_axes,
                     "elapsed_seconds": round(s.elapsed, 6),
                 }

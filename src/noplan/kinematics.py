@@ -11,6 +11,10 @@ A rigid body's ``BaseInObstacle`` means that an obstacle lies within the
 disc about the reference point that the body holds at every heading (the
 reference point inside the obstacle included), so the body collides at
 every heading.
+
+A chain's cell kernel may also return ``FreeRow``, which is not a
+collision: the cell is free, and so is every cell of its row along the last
+axis, since the last link reaches nothing at any angle.
 """
 
 from __future__ import annotations
@@ -54,6 +58,19 @@ class BaseInObstacle:
     obstacle comes within the body's inscribed disc about it."""
 
     obstacle: int
+
+
+@dataclass(frozen=True)
+class FreeRow:
+    """Not a collision: a chain cell that is free, as is every cell that
+    shares its joints 1..n-1, its row along the last axis. A chain's cell
+    kernel returns it, never ``collision_check``. Compare it by type: it
+    crosses a worker's pipe pickled."""
+
+
+FREE_ROW = FreeRow()
+# A ChainCells memo entry: a clear row that FREE_ROW has been returned for.
+_REPORTED = object()
 
 
 @dataclass(frozen=True)
@@ -276,6 +293,23 @@ class ChainCells:
     A joint value is ``lo + (m + 0.5) * step``, the expression of
     ``GridSpec.centre``, so every float equals ``collision_check``'s on
     ``cell_to_config``'s configuration.
+
+    A prefix of links 1..n-1 that found no cause may leave its row along
+    the last axis clear: the last link reaches nothing at any angle. Its
+    corners sit at ``j + L*c +- (w/2)*s`` about joint n-1, and since
+    ``|c|`` and ``|s|`` are at most 1 and rounding is monotone, each lies
+    within ``reach = L + w/2`` of the joint but for two additions'
+    rounding. ``r`` adds DISC_MARGIN of ``max(|jx|, |jy|, reach)``, as in
+    ``BodyCells``, so the square ``[jx - r, jx + r] x [jy - r, jy + r]``
+    holds the last link's box. When it misses every obstacle's box and the
+    boxes of links 1..n-2, the last link's self tests, the row is clear:
+    ``_raws_hit_obstacle`` and ``_bodies_touch`` report a contact only where
+    boxes overlap. The memo keeps ``FREE_ROW`` as such a prefix's entry,
+    in place of its pose. The first cell of the row to come is free, without
+    its last link's pose. The second returns ``FREE_ROW``, so that the
+    sampler marks the row visited only when the row is drawn again. A later
+    cell of the row comes only in the pooled batch that marks it, and is
+    free: one mark is enough.
     """
 
     def __init__(self, chain: SerialChain, spec, obs: PreparedObstacles):
@@ -288,6 +322,7 @@ class ChainCells:
         self.step = tuple(map(spec.step, range(spec.ndim)))
         self.root = (0.0, chain.base.x, chain.base.y, (), None)
         self.memo = [{} for _ in range(chain.dof - 1)]
+        self.reach = chain.links[-1].length + chain.links[-1].width / 2
 
     def __call__(self, lin: int) -> object:
         n = len(self.links)
@@ -296,7 +331,8 @@ class ChainCells:
 
     def _prefix(self, k: int, lin: int):
         """Entry of the cell's first k links, from the memo or computed
-        from its parent and memoised."""
+        from its parent and memoised; None for a cell of a clear row but
+        its second."""
         if not k:
             return self.root
         level, key = self.memo[k - 1], lin % self.strides[k]
@@ -306,10 +342,18 @@ class ChainCells:
             if len(level) >= MEMO_CELLS:
                 level.clear()
             level[key] = e
+            if e is FREE_ROW:  # a clear row's first cell
+                return None
+        elif type(e) is not tuple:
+            if e is FREE_ROW:  # its second, which reports the row
+                level[key] = _REPORTED
+            elif e is _REPORTED:
+                return None
         return e
 
     def _link(self, k: int, parent, lin: int):
-        """Entry of link k (0-based) from the entry of its parent prefix."""
+        """Entry of link k (0-based) from the entry of its parent prefix;
+        ``FREE_ROW`` for links 1..n-1 that leave the row clear."""
         if type(parent) is not tuple:
             return parent
         angle, jx, jy, bodies, hit = parent
@@ -323,16 +367,34 @@ class ChainCells:
             if _bodies_touch(bodies[i], body):
                 hit = SelfHit(i + 1, k + 1)
                 break
-        if k < len(self.links) - 2:  # a later link is not adjacent to it
+        last = len(self.links) - 2
+        if k < last:  # a later link is not adjacent to it
             bodies += (body,)
+        elif k == last and hit is None and self._clear(ex, ey, bodies):
+            return FREE_ROW
         return angle, ex, ey, bodies, hit
+
+    def _clear(self, jx: float, jy: float, bodies) -> bool:
+        """Whether the last link, hinged at (jx, jy), meets no obstacle's
+        box and none of the bodies' boxes at any angle."""
+        reach = self.reach
+        r = reach + DISC_MARGIN * max(abs(jx), abs(jy), reach)
+        x0, y0, x1, y1 = jx - r, jy - r, jx + r, jy + r
+        for ox0, oy0, ox1, oy1 in self.obs.bboxes:
+            if x0 <= ox1 and ox0 <= x1 and y0 <= oy1 and oy0 <= y1:
+                return False
+        for _, (bx0, by0, bx1, by1) in bodies:
+            if x0 <= bx1 and bx0 <= x1 and y0 <= by1 and by0 <= y1:
+                return False
+        return True
 
 
 # The disc rule's margin, per unit of the largest coordinate in play. The
 # rotated body's vertices and the separating-axis projections round by a
 # few units of 2^-52 of that coordinate; an obstacle the rule admits
 # reaches about 2^10 such units into the body at every heading, so each
-# heading's check finds the contact.
+# heading's check finds the contact. The reach rules of ``ChainCells`` and
+# ``BodyCells`` widen their squares by the same margin.
 DISC_MARGIN = 2.0**-42
 
 

@@ -7,11 +7,14 @@ cell, and draws follow a seeded pseudorandom permutation of the grid that
 skips visited cells. Every hit is amplified two ways: the collision cause
 lets whole axis-aligned slices of the grid be marked without further checks,
 and a few random grid neighbors of the hit are checked directly, since
-obstacle cells cluster. A slice is marked in place in the packed visited
-bits and the packed bitmap, without listing its cells. A slice of at most
-``PLAN_CELLS`` cells takes one gather and one scatter of the bytes it
-touches, through a cached plan of them; a larger one takes one strided byte
-view per bit phase, which beats the plan only from about 1,500 cells on.
+obstacle cells cluster. A chain's kernel may also report a free row
+(``FreeRow``): the cell and every cell of its row along the last axis are
+free, so the row is marked visited, not obstacle, and none of it is drawn or
+probed again. A slice is marked in place in the packed visited bits and the
+packed bitmap, without listing its cells. A slice of at most ``PLAN_CELLS``
+cells takes one gather and one scatter of the bytes it touches, through a
+cached plan of them; a larger one takes one strided byte view per bit
+phase, which beats the plan only from about 1,500 cells on.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .bitmap import CSpaceBitmap, GridSpec, integer, neighbors
 from .errors import Exhausted, OutOfRange, ValidationError
-from .kinematics import BaseInObstacle, ObstacleHit, SelfHit
+from .kinematics import BaseInObstacle, FreeRow, ObstacleHit, SelfHit
 
 
 # Rounds of the Feistel network behind the draw order; four rounds with
@@ -112,19 +115,54 @@ class SampleSet:
 
     def draw(self, rng: np.random.Generator) -> int:
         """Remove and return the next unvisited cell of the walk."""
+        return self.draw_many(rng, 1)[0]
+
+    def draw_many(self, rng: np.random.Generator, count: int) -> list:
+        """Remove and return the next ``count`` unvisited cells of the walk,
+        or all that are left: the cells as many ``draw`` calls return.
+
+        One cell is popped from the queue and tested alone. More are taken
+        from the queue in one slice and tested and marked at once: the
+        queued cells are distinct, so marking some leaves the rest as they
+        were."""
         if self.size == 0:
             raise Exhausted("every cell has been visited")
         if self._keys is None:
             self._offset = int(rng.integers(self._cells))
             self._keys = rng.integers(2**64, size=FEISTEL_ROUNDS, dtype=np.uint64)
+        count = min(count, self.size)
+        if count > 1:
+            return self._draw_slices(count)
+        cells, flags, queue = [], self._flags, self._queue
         while True:
             # Some unvisited cell lies in the queue or ahead of the walk:
             # every cell behind it was drawn, removed, or queued.
-            while self._queue:
-                cell = self._queue.pop()
-                if self._take(cell):
-                    return cell
+            while queue:
+                cell = queue.pop()
+                bit = 1 << (cell & 7)
+                if not flags[cell >> 3] & bit:
+                    flags[cell >> 3] |= bit
+                    cells.append(cell)
+                    if len(cells) == count:
+                        self.size -= count
+                        return cells
             self._refill()
+            queue = self._queue
+
+    def _draw_slices(self, count: int) -> list:
+        cells = []
+        while len(cells) < count:
+            if not self._queue:
+                self._refill()
+            take = self._queue[len(cells) - count:]
+            del self._queue[len(cells) - count:]
+            take = np.array(take[::-1], dtype=np.int64)
+            byte, bit = take >> 3, np.uint8(1) << (take & 7).astype(np.uint8)
+            fresh = self._visited[byte] & bit == 0
+            np.bitwise_or.at(self._visited, byte[fresh], bit[fresh])
+            cells += take[fresh].tolist()
+        self.size -= count
+        return cells
 
     def _take(self, linear: int) -> bool:
         """Mark one in-range cell visited; True when it was not before."""
@@ -177,6 +215,7 @@ class IterationStats:
     hits: int = 0
     checks: int = 0
     propagated: int = 0
+    freed: int = 0  # cells free rows marked visited
     elapsed: float = 0.0
     labelled_axes: int = 0  # the most leading axes labelled; ndim for the whole grid
 
@@ -232,7 +271,7 @@ def cells_implied_by(robot, spec: GridSpec, linear: int, cause) -> np.ndarray:
 
 # Slices of at most this many cells are marked through a cached byte plan,
 # one gather and one scatter of the bytes they touch; larger ones take one
-# strided byte view per bit phase. On a 2-core host a plan costs about 6 us
+# strided byte view per bit phase. On a 2-core host a plan costs about 4 us
 # plus 8 ns per byte touched and a view about 10 us plus 4 ns per byte, so
 # the plan is faster up to about 1,500 cells in one bit phase, 4,000 in two
 # and 10,000 in eight.
@@ -284,46 +323,67 @@ def _plan(inner: int, outer: int, rows: int, off: int) -> tuple:
     return plan
 
 
-def propagate(bm: CSpaceBitmap, ss: SampleSet, robot, linear: int, cause) -> int:
-    """Mark every cell implied by a collision cause and not visited before
-    as visited and obstacle; returns how many were.
+def _mark(ss: SampleSet, bm, spec: GridSpec, linear: int, fix_lo: int, fix_hi: int) -> int:
+    """Mark the cells that agree with cell ``linear`` on axes
+    fix_lo..fix_hi and were not visited before as visited, and as obstacle
+    in the bitmap ``bm`` unless it is None; returns how many were.
 
     The slice is marked in place in the visited bits and the bitmap,
-    without an array of one entry per implied cell. A slice of at most
+    without an array of one entry per cell. A slice of at most
     ``PLAN_CELLS`` cells takes one gather and one scatter of the bytes it
     touches, through its cached ``_plan``; a larger one takes one strided
     byte view per bit phase (``_slice_rows``). The plan is faster below the
     crossover, about 1,500 cells in one bit phase and more in several.
     """
-    spec = bm.spec
-    inner, outer, fixed = _slice(spec, linear, *_fixed_axes(robot, cause))
+    inner, outer, fixed = _slice(spec, linear, fix_lo, fix_hi)
     rows = spec.size // outer
     if inner * rows == 1:  # one cell costs no vectorised pass
         if not ss._take(fixed):
             return 0
-        bm.set_obstacle(fixed)
+        if bm is not None:
+            bm.set_obstacle(fixed)
         return 1
     if inner * rows <= PLAN_CELLS:
         at, mask, outside = _plan(inner, outer, rows, fixed & 7)
-        visited, free = ss._visited[fixed >> 3:], bm.bits[fixed >> 3:]
+        visited = ss._visited[fixed >> 3:]
         seen = visited[at]
         now = seen | mask
         visited[at] = now
-        marked = int(np.bitwise_count(now ^ seen).sum())
-        free[at] &= outside | seen  # clears the bits not seen before
+        marked = int.from_bytes((now ^ seen).tobytes(), "little").bit_count()
+        if bm is not None:
+            bm.bits[fixed >> 3:][at] &= outside | seen  # clears the bits not seen before
     else:
         marked = 0
         for first, n, stride, mask in _slice_rows(inner, outer, fixed, rows):
             shape, strides = (n, mask.size), (stride, 1)
             seen = np.ndarray(shape, np.uint8, buffer=ss._visited, offset=first, strides=strides)
-            free = np.ndarray(shape, np.uint8, buffer=bm.bits, offset=first, strides=strides)
             fresh = ~seen
             fresh &= mask
             marked += int(np.bitwise_count(fresh).sum())
             seen |= mask
-            free &= np.invert(fresh, out=fresh)
+            if bm is not None:
+                free = np.ndarray(shape, np.uint8, buffer=bm.bits, offset=first, strides=strides)
+                free &= np.invert(fresh, out=fresh)
     ss.size -= marked
     return marked
+
+
+def propagate(bm: CSpaceBitmap, ss: SampleSet, robot, linear: int, cause) -> int:
+    """Mark every cell implied by a collision cause and not visited before
+    as visited and obstacle; returns how many were (see ``_mark``)."""
+    return _mark(ss, bm, bm.spec, linear, *_fixed_axes(robot, cause))
+
+
+def free_rows(ss: SampleSet, spec: GridSpec, lins: list) -> int:
+    """Mark every cell of each ``FreeRow``'s row, the cells that agree with
+    a cell of ``lins`` on every axis but the last, visited but not
+    obstacle; returns how many were not visited before. One row is marked
+    as a slice, several in one bulk removal."""
+    if len(lins) == 1:
+        return _mark(ss, None, spec, lins[0], 0, spec.ndim - 2)
+    stride = spec.strides[-2]
+    rows = np.asarray(lins, dtype=np.int64) % stride
+    return ss.remove_bulk(rows[:, None] + stride * np.arange(spec.dims[-1])).size
 
 
 # Cells each worker checks per round trip. A round trip costs the master
@@ -333,16 +393,17 @@ CELLS_PER_WORKER = 256
 
 
 def _serve(conn, robot, obstacles, spec: GridSpec):
-    """A check worker: answer each list of linear indices with the list of
-    their causes, or with the exception checking them raised."""
+    """A check worker: answer each buffer of int64 linear indices with the
+    (position, cause) pairs of the cells that are not free, or with the
+    exception checking them raised."""
     kernel = robot.cell_kernel(spec, obstacles)
     while True:
         try:
-            lins = conn.recv()
+            lins = np.frombuffer(conn.recv_bytes(), dtype=np.int64).tolist()
         except EOFError:  # the pool closed its end
             return
         try:
-            conn.send([kernel(lin) for lin in lins])
+            conn.send([(i, cause) for i, lin in enumerate(lins) if (cause := kernel(lin)) is not None])
         except Exception as exc:  # the pool re-raises it
             conn.send(exc)
 
@@ -353,7 +414,8 @@ class CheckPool:
     One worker checks in this process, a cell at a time, through the
     proof's ``robot.cell_kernel``, and forks nothing. More workers are
     processes with a pipe each. They get the robot, obstacles and grid once,
-    when they are forked, and then only lists of linear cell indices. The
+    when they are forked, and then only buffers of linear cell indices,
+    and answer with the causes of the cells that are not free. The
     cells that agree on every axis but the last go to one worker, so the
     workers' kernel memos are disjoint. ``close`` drops the kernel, so its
     memo ends with the proof, and ends and reaps the workers.
@@ -387,7 +449,8 @@ class CheckPool:
             raise
 
     def check(self, lins) -> list:
-        """Collision cause of each cell, in the order given (None = free)."""
+        """Collision cause of each cell, in the order given (None = free,
+        ``FreeRow`` = free with its row)."""
         if self._kernel is not None:
             return [self._kernel(lin) for lin in lins]
         lins = np.asarray(lins, dtype=np.int64)
@@ -396,7 +459,7 @@ class CheckPool:
         for w, conn in enumerate(self._conns):
             idx = np.flatnonzero(owner == w)
             if idx.size:
-                conn.send(lins[idx].tolist())
+                conn.send_bytes(lins[idx].tobytes())
                 sent.append((conn, idx))
         causes = [None] * lins.size
         error = None
@@ -405,8 +468,8 @@ class CheckPool:
             if isinstance(reply, Exception):
                 error = error or reply
             else:
-                for i, cause in zip(idx.tolist(), reply):
-                    causes[i] = cause
+                for i, cause in reply:
+                    causes[idx[i]] = cause
         if error is not None:
             raise error
         return causes
@@ -421,6 +484,54 @@ class CheckPool:
             conn.close()
 
 
+def moore_picks(spec: GridSpec, hits: list, rng: np.random.Generator, k: int) -> list:
+    """Up to ``k`` random Moore neighbors of each hit, hit by hit: of a
+    hit's ``n`` neighbors (``neighbors``), those at the ``min(k, n)``
+    positions ``rng.choice(n, ..., replace=False)`` draws.
+
+    One hit takes ``neighbors``' list. Several are decoded at once from the
+    same draws, without listing a neighborhood: ``neighbors`` lists the
+    product of each axis's options, the last axis fastest, but the all-zero
+    offset, so its entry p is the product's entry ``p + (p >= zero)``,
+    ``zero`` being the position of the all-zero offset. An axis has 3
+    options, or 2 on a wrapping axis of 2 cells or at the edge of a
+    non-wrapping one.
+    """
+    if len(hits) == 1:
+        moore = neighbors(spec, hits[0])
+        take = min(k, len(moore))
+        return [moore[p] for p in rng.choice(len(moore), size=take, replace=False).tolist()] if take else []
+    lins = np.asarray(hits, dtype=np.int64)
+    axes, rest = [], lins
+    count, zero = np.ones_like(lins), np.zeros_like(lins)
+    for d, wrap in zip(spec.dims, spec.wrap):
+        rest, m = np.divmod(rest, d)
+        if wrap:  # options (m - 1) % d, m and, past 2 cells, (m + 1) % d
+            c, z = np.full_like(m, min(d, 3)), np.ones_like(m)
+        else:  # options m - 1 and m + 1 where they lie on the axis, and m
+            z = (m > 0).astype(np.int64)
+            c = 2 + z - (m == d - 1)
+        axes.append((m, c, z))
+        count *= c
+        zero = zero * c + z
+    owner, drawn = [], []
+    for i, n in enumerate((count - 1).tolist()):
+        if take := min(k, n):
+            owner += [i] * take
+            drawn.append(rng.choice(n, size=take, replace=False))
+    if not drawn:
+        return []
+    owner = np.array(owner)
+    q = np.concatenate(drawn)
+    q += q >= zero[owner]
+    out = lins[owner]
+    for (m, c, z), d, wrap, stride in reversed(list(zip(axes, spec.dims, spec.wrap, spec.strides))):
+        q, digit = np.divmod(q, c[owner])
+        m = m[owner]
+        out += (((m + digit - 1) % d if wrap else m + digit - z[owner]) - m) * stride
+    return out.tolist()
+
+
 def sample_obstacle_cells(
     bm: CSpaceBitmap,
     ss: SampleSet,
@@ -432,7 +543,9 @@ def sample_obstacle_cells(
     """One sampling iteration: draw until ``min_hits`` collision hits.
 
     One loop around one step, ``check``, which checks a batch of cells and
-    marks, propagates and counts each of its hits, in order. The loop
+    marks, propagates and counts each of its hits, in order, and marks
+    each free row visited (``IterationStats.freed``). A free row is not a
+    hit: its cells would each have been checked and found free. The loop
     checks a batch of draws and counts its hits toward the quota; then it
     checks, in batches too, up to ``neighbor_checks`` random Moore
     neighbors of each, drawn without replacement. Free cells stay marked
@@ -443,36 +556,39 @@ def sample_obstacle_cells(
     cell, so each cell taken sees the propagation of every hit before it.
     A pooled batch is checked whole, then applied hit by hit in the same
     way: a hit inside an earlier hit's slice propagates no new cell. So a
-    pooled iteration may end past the quota. The iteration ends short of
-    the quota when every cell has been visited.
+    pooled iteration may end past the quota. Its free rows are marked after
+    its hits, all at once: they hold free cells and the hits' slices
+    obstacle cells, so the order marks the same cells. The iteration ends
+    short of the quota when every cell has been visited.
     """
     spec = bm.spec
     stats = IterationStats()
     batch = pool.batch_size
 
     def check(lins) -> list:
-        """Check a batch, then mark and propagate each hit; returns the hits."""
+        """Check a batch, then mark and propagate each hit and mark each
+        free row; returns the hits."""
         stats.checks += len(lins)
-        hits = []
+        hits, rows = [], []
         for lin, cause in zip(lins, pool.check(lins)):
-            if cause is not None:
+            if cause is None:
+                continue
+            if type(cause) is FreeRow:
+                rows.append(lin)
+            else:
                 bm.set_obstacle(lin)
                 stats.propagated += propagate(bm, ss, robot, lin, cause)
                 hits.append(lin)
+        if rows:
+            stats.freed += free_rows(ss, spec, rows)
         return hits
 
     while stats.hits < params.min_hits and ss.size:
-        fresh = check([ss.draw(rng) for _ in range(min(batch, ss.size))])
+        fresh = check(ss.draw_many(rng, batch))
         if not fresh:  # most one-cell batches miss: skip the probe set-up
             continue
         stats.hits += len(fresh)
-        probes = []
-        for lin in fresh:
-            moore = neighbors(spec, lin)
-            take = min(params.neighbor_checks, len(moore))
-            if take:
-                probes += (moore[int(p)] for p in rng.choice(len(moore), size=take, replace=False))
-        probes = (lin for lin in probes if ss.remove(lin))
+        probes = (lin for lin in moore_picks(spec, fresh, rng, params.neighbor_checks) if ss.remove(lin))
         while lins := list(itertools.islice(probes, batch)):
             check(lins)
     return stats

@@ -17,7 +17,7 @@ from noplan.bitmap import (
     neighbors,
 )
 from noplan.errors import IncompatibleGrids, OutOfBounds, OutOfRange, ValidationError
-from noplan.geometry import Point2
+from noplan.geometry import Point2, Polygon2
 from noplan.kinematics import PreparedObstacles, RigidSE2, SerialChain
 from noplan.scenario_io import se2_grid
 
@@ -142,7 +142,13 @@ class TestCellConfigMapping:
             link_body = kinematics._link_body
             monkeypatch.setattr(kinematics, "_link_body", lambda x, y, angle, link:
                                 seen.append(angle) or link_body(x, y, angle, link))
-            obs = PreparedObstacles([])
+            # Within reach of every cell, so that the kernel checks each one's
+            # last link: an L whose box holds the arm but which lies beyond
+            # its reach, so that every link is posed and tested.
+            r, t = g.ndim + 1.0, 0.5
+            obs = PreparedObstacles([Polygon2([
+                (-r, -r), (r, -r), (r, r), (r - t, r), (r - t, t - r), (-r, t - r)
+            ])])
         for axis in range(g.ndim):
             for rest in ([0] * g.ndim, [n - 1 for n in g.dims]):
                 for m in range(g.dims[axis]):

@@ -164,6 +164,19 @@ def test_whole_grid_confirms_each_separation(name, links, connectivity):
             assert axes == spec.ndim
 
 
+def exhausting_scene() -> Scenario:
+    """The benchmark's ``exhaust-4dof`` scene: ``four_link_bands`` without
+    its lower block at 16^4, where a proof visits every cell."""
+    sc = load_scenario(SCENARIO_DIR / "four_link_bands.yaml")
+    keep = [i for i, name in enumerate(sc.obstacle_ids) if name != "block-down"]
+    return dataclasses.replace(
+        sc,
+        obstacles=[sc.obstacles[i] for i in keep],
+        obstacle_ids=tuple(sc.obstacle_ids[i] for i in keep),
+        grid=dataclasses.replace(sc.grid, dims=(16,) * 4),
+    )
+
+
 class TestLoopBehavior:
     def test_deterministic_across_runs(self):
         sc = three_band_scene(36)
@@ -251,6 +264,34 @@ class TestLoopBehavior:
         verdict = prove_infeasibility(sc, seed=seed)
         assert (verdict.kind, verdict.digest, verdict.iterations) == (INFEASIBLE, digest, 3)
         assert sum(s.checks for s in verdict.stats) == checks
+
+    @pytest.mark.parametrize("seed, iterations, checks", [(1, 13, 21850), (2, 12, 21847), (3, 12, 21851)])
+    def test_exhausting_scene_pinned(self, seed, iterations, checks):
+        # Recorded when a free row was marked on its second visit. Before
+        # free rows the same proofs took 50,214, 50,211 and 50,215 checks.
+        verdict = prove_infeasibility(exhausting_scene(), seed=seed)
+        assert (verdict.kind, verdict.digest, verdict.iterations) == (
+            FEASIBLE_AT_RESOLUTION,
+            "5cba02583f97e098154512ac35cb6c9f13e7a1a2817bcdeee4080810a2a45de2",
+            iterations,
+        )
+        assert sum(s.checks for s in verdict.stats) == checks
+
+    @pytest.mark.parametrize("scene", ["exhausting", "two_link_single_block", "empty"])
+    def test_exhausted_proof_accounts_for_every_cell(self, scene):
+        """Each cell of an exhausted grid is checked, propagated from a hit
+        or freed by a free row, exactly once."""
+        sc = {
+            "exhausting": exhausting_scene,
+            "two_link_single_block": lambda: load_scenario(SCENARIO_DIR / "two_link_single_block.yaml"),
+            "empty": lambda: empty_scene((24, 24)),
+        }[scene]()
+        verdict = prove_infeasibility(sc, seed=1)
+        assert verdict.kind == FEASIBLE_AT_RESOLUTION
+        totals = [sum(getattr(s, f) for s in verdict.stats) for f in ("checks", "propagated", "freed")]
+        assert sum(totals) == sc.grid.size
+        assert totals[2] > 0
+        assert [it["freed"] for it in verdict.to_dict()["per_iteration"]] == [s.freed for s in verdict.stats]
 
     def test_stats_accumulate_per_iteration(self):
         verdict = prove_infeasibility(empty_scene(), SamplerParams(10, 3), seed=0)
@@ -391,6 +432,20 @@ class TestParallel:
             empty_scene(), SamplerParams(10, 3), seed=4, threads=2
         )
         assert verdict.kind == FEASIBLE_AT_RESOLUTION
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    @pytest.mark.parametrize("scene", ["two_link_single_block", "criterion_7"])
+    def test_pooled_free_rows_exhaust_to_the_exact_bitmap(self, scene, threads):
+        """Free rows come back from the workers pickled; each still marks
+        its row visited, and the exhausted bitmap is the brute-force one."""
+        if scene == "criterion_7":
+            sc = four_link_scene(12, block_angles=(90,))
+        else:
+            sc = load_scenario(SCENARIO_DIR / "two_link_single_block.yaml")
+        verdict = prove_infeasibility(sc, seed=0, threads=threads)
+        assert verdict.kind == FEASIBLE_AT_RESOLUTION
+        assert verdict.digest == brute_force_bitmap(sc).digest()
+        assert sum(s.freed for s in verdict.stats) > 0
 
     def test_causes_come_back_in_order(self):
         sc = four_link_scene(6, block_angles=(90,))

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from noplan import kinematics
@@ -15,7 +15,9 @@ from noplan.kinematics import (
     BaseInObstacle,
     CollisionReport,
     DEFAULT_WIDTH_RATIO,
+    DISC_MARGIN,
     FREE,
+    FreeRow,
     Link,
     ObstacleHit,
     PreparedObstacles,
@@ -552,16 +554,28 @@ def reference_causes(robot, spec, obs) -> list:
     ]
 
 
+def read_cause(kernel, lin, spec, expect):
+    """The kernel's cause at a cell, a ``FreeRow`` read as free; every cell
+    of a free row, along the last axis, must be free by the reference."""
+    cause = kernel(lin)
+    if type(cause) is FreeRow:
+        stride = spec.strides[-2]
+        assert all(expect[c] is None for c in range(lin % stride, spec.size, stride))
+        return None
+    return cause
+
+
 def assert_kernel_matches(robot, spec, obs, seed) -> list:
     """A fresh cell kernel gives the reference cause on every cell, taken
     in raster order and, with another fresh kernel, in a shuffled order.
     Returns the causes."""
     expect = reference_causes(robot, spec, obs)
     raster = robot.cell_kernel(spec, obs)
-    assert [raster(lin) for lin in range(spec.size)] == expect
+    assert [read_cause(raster, lin, spec, expect) for lin in range(spec.size)] == expect
     shuffled = robot.cell_kernel(spec, obs)
     order = np.random.default_rng(seed).permutation(spec.size).tolist()
-    assert {lin: shuffled(lin) for lin in order} == dict(enumerate(expect))
+    got = {lin: read_cause(shuffled, lin, spec, expect) for lin in order}
+    assert got == dict(enumerate(expect))
     return expect
 
 
@@ -598,6 +612,93 @@ def chains_on_grids(draw):
     return chain, spec, obs, int(rng.integers(2**32))
 
 
+def nudged(x: float, ulps: int) -> float:
+    """x moved ``ulps`` floats up, or down when ``ulps`` is negative."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def misses(box, square) -> bool:
+    """Whether two (x0, y0, x1, y1) boxes miss each other."""
+    return box[2] < square[0] or square[2] < box[0] or box[3] < square[1] or square[3] < box[1]
+
+
+@st.composite
+def chains_at_their_reach(draw):
+    """A chain of 2-4 links based near the origin, 1e3 or 1e6, on a grid of
+    2-5 cells per axis, and one box whose near edge lies on the edge of the
+    reach square about a random cell's joint n-1, or 1-4 ulps either side:
+    an obstacle's box, or the box of one of links 1..n-2, the last link's
+    length tuned to put the square's edge there. Also returns the cell and
+    whether its row must be clear: the box lies outside the square, every
+    other box the last link is tested against misses it, and links 1..n-1
+    find no cause."""
+    n = draw(st.integers(2, 4))
+    near_link = n > 2 and draw(st.booleans())
+    ulps = draw(st.integers(-4, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = (rng.choice([0.0, 1e3, 1e6]) * rng.uniform(-1, 1, 2)).tolist()
+    links = [(rng.uniform(0.2, 1.0), rng.uniform(0.02, 0.3)) for _ in range(n)]
+    limits = []
+    for _ in range(n):
+        lo = rng.uniform(-math.pi, math.pi)
+        limits.append(None if rng.integers(2) else (lo, lo + rng.uniform(0.2, 2 * math.pi)))
+    spec = chain_grid(SerialChain(Point2(*base), links, limits), [int(rng.integers(2, 6)) for _ in range(n)])
+    lin = int(rng.integers(spec.size))
+    q = cell_to_config(spec, lin_to_multi(spec, lin))
+    # Joint n-1 and the boxes of links 1..n-2, with collision_check's floats.
+    angle, jx, jy, boxes = 0.0, *base, []
+    for k in range(n - 1):
+        angle += q[k]
+        (_, box), jx, jy = kinematics._link_body(jx, jy, angle, Link(*links[k]))
+        boxes.append(box)
+    boxes.pop()  # link n-1 is adjacent to the last
+
+    def square(length, width):
+        reach = length + width / 2
+        r = reach + DISC_MARGIN * max(abs(jx), abs(jy), reach)
+        return jx - r, jy - r, jx + r, jy + r
+
+    if near_link:
+        # The side of the link's box farthest from the joint, and a last
+        # link short enough to fall short of it.
+        target = boxes[int(rng.integers(len(boxes)))]
+        gap, side = max((target[0] - jx, 2), (jx - target[2], 0), (target[1] - jy, 3), (jy - target[3], 1))
+        assume(gap > 0.05)
+        width = rng.uniform(0.01, gap)
+        # The square's edge `ulps` floats short of the box's, outward.
+        sign = 1.0 if side >= 2 else -1.0
+        want = nudged(target[side - 2 if side >= 2 else side + 2], -int(sign) * ulps)
+        lo, hi = 0.0, 2.0 * gap + 1.0
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if sign * (square(mid, width)[side] - want) < 0:
+                lo = mid
+            else:
+                hi = mid
+        assume(square(hi, width)[side] == want)
+        links[-1] = (hi, width)
+        obs = PreparedObstacles([])
+    else:
+        axis, sign = int(rng.integers(2)), 1.0 if rng.integers(2) else -1.0
+        edge = square(*links[-1])[axis + (2 if sign > 0 else 0)]
+        near = nudged(edge, int(sign) * ulps)
+        spans = [sorted((near, near + sign * rng.uniform(0.1, 1.0)))]
+        across = (jy, jx)[axis] - rng.uniform(0.0, 1.0)  # spans the joint
+        spans.append((across, across + 1.0))
+        (x0, x1), (y0, y1) = spans if axis == 0 else spans[::-1]
+        obs = PreparedObstacles([Polygon2([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])])
+        target = obs.bboxes[0]
+    chain = SerialChain(Point2(*base), links, limits)
+    sq = square(*links[-1])
+    others = [b for b in boxes + obs.bboxes if b is not target]
+    prefix_free = chain.truncated(n - 1).collision_check(q[:-1], obs).cause is None
+    clear = misses(target, sq) and all(misses(b, sq) for b in others) and prefix_free
+    assert misses(target, sq) == (ulps > 0)
+    label = f"{'link' if near_link else 'obstacle'} box, row {'clear' if clear else 'checked'}"
+    return chain, spec, obs, int(rng.integers(2**32)), lin, clear, label
+
+
 class TestCellKernel:
     """The cell kernels return ``collision_check``'s cause at each cell
     centre, whatever order the cells come in."""
@@ -606,6 +707,22 @@ class TestCellKernel:
     @given(chains_on_grids())
     def test_chain_kernel_matches_reference(self, case):
         assert_kernel_matches(*case)
+
+    @settings(max_examples=80, deadline=None)
+    @given(chains_at_their_reach())
+    def test_chain_kernel_matches_reference_at_the_reach_square(self, case):
+        """A box on the edge of the last link's reach square, or a hair
+        either side, on chains near the origin and far from it: the kernel
+        matches the reference, and the cell's row comes back ``FreeRow``,
+        on its second visit only, exactly when the rule says it is clear."""
+        chain, spec, obs, seed, lin, clear, label = case
+        event(label)
+        assert_kernel_matches(chain, spec, obs, seed)
+        kernel = chain.cell_kernel(spec, obs)
+        visits = [kernel(lin) for _ in range(3)]
+        assert [type(c) is FreeRow for c in visits] == [False, clear, False]
+        if clear:
+            assert visits[0] is visits[2] is None
 
     @pytest.mark.parametrize("side", ["above", "below", "left", "right"])
     def test_flush_self_contact_on_a_grid(self, side):
@@ -629,7 +746,7 @@ class TestCellKernel:
         expect = reference_causes(sc.robot, sc.grid, obs)
         kernel = sc.robot.cell_kernel(sc.grid, obs)
         for lin in np.random.default_rng(0).permutation(sc.grid.size).tolist():
-            assert kernel(lin) == expect[lin]
+            assert read_cause(kernel, lin, sc.grid, expect) == expect[lin]
             assert max(len(level) for level in kernel.memo) <= 7
         # A full level starts over by itself: the first never fills.
         assert len(kernel.memo[0]) == 5

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from noplan import sampler
-from noplan.bitmap import CSpaceBitmap, GridSpec, TWO_PI, cell_to_config, lin_to_multi, multi_to_lin
+from noplan.bitmap import CSpaceBitmap, GridSpec, TWO_PI, cell_to_config, lin_to_multi, multi_to_lin, neighbors
 from noplan.errors import Exhausted, OutOfRange, ValidationError
 from noplan.kinematics import (
     BaseInObstacle,
@@ -24,6 +24,8 @@ from noplan.sampler import (
     _slice,
     _slice_indices,
     cells_implied_by,
+    free_rows,
+    moore_picks,
     propagate,
     sample_obstacle_cells,
 )
@@ -139,11 +141,13 @@ MODEL_SIZES = [1, 2, 3, 4, 5, 15, 16, 17, 255, 256, 257, 1023, 1024, 1025, 10007
 
 @st.composite
 def set_operations(draw):
-    """A size and a random interleaving of draws and removals."""
+    """A size and a random interleaving of draws, batched draws and
+    removals."""
     n = draw(st.sampled_from(MODEL_SIZES))
     cell = st.integers(0, n - 1)
     op = st.one_of(
         st.just(("draw",)),
+        st.tuples(st.just("many"), st.integers(1, 40)),
         st.tuples(st.just("remove"), cell),
         st.tuples(st.just("bulk"), st.lists(cell, max_size=40)),
         st.tuples(st.just("bulk"), st.lists(cell, max_size=40, unique=True).map(sorted)),
@@ -154,26 +158,33 @@ def set_operations(draw):
 @settings(max_examples=150, deadline=None)
 @given(set_operations())
 def test_sample_set_matches_a_set_model(case):
+    """A batched draw returns the cells as many single draws return from
+    a twin set, one that takes the same removals."""
     n, seed, ops = case
     rng = np.random.default_rng(seed)
     ss = SampleSet(n)
+    twin, twin_rng = SampleSet(n), np.random.default_rng(seed)
     model = set(range(n))
     drawn = []
     for op in ops:
-        if op[0] == "draw":
+        if op[0] in ("draw", "many"):
+            count = 1 if op[0] == "draw" else op[1]
             if not model:
                 with pytest.raises(Exhausted):
-                    ss.draw(rng)
+                    ss.draw(rng) if op[0] == "draw" else ss.draw_many(rng, count)
                 continue
-            cell = ss.draw(rng)
-            assert cell in model
-            model.discard(cell)
-            drawn.append(cell)
+            cells = [ss.draw(rng)] if op[0] == "draw" else ss.draw_many(rng, count)
+            assert cells == [twin.draw(twin_rng) for _ in range(min(count, len(model)))]
+            assert model.issuperset(cells)
+            model.difference_update(cells)
+            drawn += cells
         elif op[0] == "remove":
             assert ss.remove(op[1]) == (op[1] in model)
+            twin.remove(op[1])
             model.discard(op[1])
         else:
             got = ss.remove_bulk(np.asarray(op[1], dtype=np.int64))
+            twin.remove_bulk(np.asarray(op[1], dtype=np.int64))
             assert got.tolist() == sorted(model.intersection(op[1]))
             model.difference_update(op[1])
         assert len(ss) == len(model)
@@ -379,6 +390,76 @@ def test_propagate_matches_the_index_path(case):
         assert len(ss) == len(ref_ss)
         assert ss._visited.tobytes() == ref_ss._visited.tobytes()
         assert bm.bits.tobytes() == ref_bm.bits.tobytes()
+
+
+@st.composite
+def free_row_cases(draw):
+    """A grid of 2-5 axes with 2-10 cells each, or of 3 x ``PLAN_CELLS`` +
+    1 cells, 1-4 cells and a seed for the cells visited and marked before."""
+    if draw(st.booleans()):
+        dims = (3, sampler.PLAN_CELLS + 1)
+    else:
+        dims = tuple(draw(st.lists(st.integers(2, 10), min_size=2, max_size=5)))
+    spec = GridSpec(dims, (True,) * len(dims), (0.0,) * len(dims), (1.0,) * len(dims))
+    cells = draw(st.lists(st.integers(0, spec.size - 1), min_size=1, max_size=4))
+    return spec, cells, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def moore_cases(draw):
+    """A grid of 1-5 axes with 2-6 cells each, wrapping or not, 1-8 hits,
+    a neighbor count and a seed."""
+    n = draw(st.integers(1, 5))
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=n, max_size=n)))
+    wrap = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    spec = GridSpec(dims, wrap, (0.0,) * n, (1.0,) * n)
+    hits = draw(st.lists(st.integers(0, spec.size - 1), min_size=1, max_size=8))
+    return spec, hits, draw(st.integers(0, 10)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(moore_cases())
+def test_moore_picks_index_the_neighbor_lists(case):
+    """Each hit's picks are its ``neighbors`` at the positions drawn for it,
+    one hit or several at a time, and the generator ends in the same state."""
+    spec, hits, k, seed = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = []
+    for lin in hits:
+        moore = neighbors(spec, lin)
+        if take := min(k, len(moore)):
+            want += [moore[p] for p in ref_rng.choice(len(moore), size=take, replace=False)]
+    assert moore_picks(spec, hits, rng, k) == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(free_row_cases())
+def test_free_rows_mark_their_rows_visited_only(case):
+    """Free rows' cells, those that share every axis but the last with one
+    of the cells, end visited and keep their bitmap bits, through a byte
+    plan, strided views and one bulk removal alike; the count is of those
+    not visited before."""
+    spec, lins, seed = case
+    rng = np.random.default_rng(seed)
+    visited = np.flatnonzero(rng.random(spec.size) < rng.random())
+    obstacle = np.flatnonzero(rng.random(spec.size) < rng.random())
+    stride = spec.strides[-2]
+    rows = [np.arange(lin % stride, spec.size, stride) for lin in lins]
+    ref = SampleSet(spec.size)
+    ref.remove_bulk(visited)
+    fresh = ref.remove_bulk(np.concatenate(rows))
+    for cutover in (spec.size, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "PLAN_CELLS", cutover)
+            bm, ss = CSpaceBitmap(spec), SampleSet(spec.size)
+            ss.remove_bulk(visited)
+            bm.set_obstacle_bulk(obstacle)
+            bits = bm.bits.tobytes()
+            assert free_rows(ss, spec, lins) == fresh.size
+        assert len(ss) == len(ref)
+        assert ss._visited.tobytes() == ref._visited.tobytes()
+        assert bm.bits.tobytes() == bits
 
 
 def test_slice_over_the_cutover_caches_no_plan():
