@@ -150,18 +150,16 @@ def neighbors(spec: GridSpec, linear: int) -> list:
     the offsets -1 and +1 reach one cell, listed once, at -1.
     """
     multi = lin_to_multi(spec, linear)
-    cells = [linear]
+    offsets = [0]
     for m, d, wrap, stride in zip(multi, spec.dims, spec.wrap, spec.strides):
         if wrap:
             coords = ((m - 1) % d, m) if d == 2 else ((m - 1) % d, m, (m + 1) % d)
         else:
             coords = [v for v in (m - 1, m, m + 1) if 0 <= v < d]
-        steps = [(v - m) * stride for v in coords]
-        cells = [c + s for c in cells for s in steps]
+        offsets = [o + (v - m) * stride for o in offsets for v in coords]
     # Only the all-zero offset lands on the cell itself, as every axis has
     # at least two cells, and no other cell shares its index.
-    cells.remove(linear)
-    return cells
+    return [linear + o for o in offsets if o]
 
 
 @dataclass

@@ -69,8 +69,6 @@ class FreeRow:
 
 
 FREE_ROW = FreeRow()
-# A ChainCells memo entry: a clear row that FREE_ROW has been returned for.
-_REPORTED = object()
 
 
 @dataclass(frozen=True)
@@ -306,10 +304,10 @@ class ChainCells:
     ``_raws_hit_obstacle`` and ``_bodies_touch`` report a contact only where
     boxes overlap. The memo keeps ``FREE_ROW`` as such a prefix's entry,
     in place of its pose. The first cell of the row to come is free, without
-    its last link's pose. The second returns ``FREE_ROW``, so that the
-    sampler marks the row visited only when the row is drawn again. A later
-    cell of the row comes only in the pooled batch that marks it, and is
-    free: one mark is enough.
+    its last link's pose; every later one returns ``FREE_ROW``, so that the
+    sampler marks the row visited only when the row is drawn again. A
+    pooled batch may report a row more than once, and marking it again
+    marks no new cell.
     """
 
     def __init__(self, chain: SerialChain, spec, obs: PreparedObstacles):
@@ -331,8 +329,8 @@ class ChainCells:
 
     def _prefix(self, k: int, lin: int):
         """Entry of the cell's first k links, from the memo or computed
-        from its parent and memoised; None for a cell of a clear row but
-        its second."""
+        from its parent and memoised; None for the first cell of a clear
+        row."""
         if not k:
             return self.root
         level, key = self.memo[k - 1], lin % self.strides[k]
@@ -343,11 +341,6 @@ class ChainCells:
                 level.clear()
             level[key] = e
             if e is FREE_ROW:  # a clear row's first cell
-                return None
-        elif type(e) is not tuple:
-            if e is FREE_ROW:  # its second, which reports the row
-                level[key] = _REPORTED
-            elif e is _REPORTED:
                 return None
         return e
 

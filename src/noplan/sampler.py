@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,43 +116,27 @@ class SampleSet:
 
     def draw(self, rng: np.random.Generator) -> int:
         """Remove and return the next unvisited cell of the walk."""
-        return self.draw_many(rng, 1)[0]
-
-    def draw_many(self, rng: np.random.Generator, count: int) -> list:
-        """Remove and return the next ``count`` unvisited cells of the walk,
-        or all that are left: the cells as many ``draw`` calls return.
-
-        One cell is popped from the queue and tested alone. More are taken
-        from the queue in one slice and tested and marked at once: the
-        queued cells are distinct, so marking some leaves the rest as they
-        were."""
         if self.size == 0:
             raise Exhausted("every cell has been visited")
         if self._keys is None:
             self._offset = int(rng.integers(self._cells))
             self._keys = rng.integers(2**64, size=FEISTEL_ROUNDS, dtype=np.uint64)
-        count = min(count, self.size)
-        if count > 1:
-            return self._draw_slices(count)
-        cells, flags, queue = [], self._flags, self._queue
         while True:
             # Some unvisited cell lies in the queue or ahead of the walk:
             # every cell behind it was drawn, removed, or queued.
-            while queue:
-                cell = queue.pop()
-                bit = 1 << (cell & 7)
-                if not flags[cell >> 3] & bit:
-                    flags[cell >> 3] |= bit
-                    cells.append(cell)
-                    if len(cells) == count:
-                        self.size -= count
-                        return cells
+            while self._queue:
+                cell = self._queue.pop()
+                if self._take(cell):
+                    return cell
             self._refill()
-            queue = self._queue
 
-    def _draw_slices(self, count: int) -> list:
-        cells = []
-        while len(cells) < count:
+    def draw_many(self, rng: np.random.Generator, count: int) -> list:
+        """Remove and return the next ``count`` unvisited cells of the walk,
+        or all that are left: the cells that as many ``draw`` calls return.
+        After the first, the queued cells are taken a slice at a time and
+        tested and marked at once, as they are distinct."""
+        cells = [self.draw(rng)]  # starts the walk, or raises Exhausted
+        while len(cells) < count and self.size:
             if not self._queue:
                 self._refill()
             take = self._queue[len(cells) - count:]
@@ -160,8 +145,9 @@ class SampleSet:
             byte, bit = take >> 3, np.uint8(1) << (take & 7).astype(np.uint8)
             fresh = self._visited[byte] & bit == 0
             np.bitwise_or.at(self._visited, byte[fresh], bit[fresh])
-            cells += take[fresh].tolist()
-        self.size -= count
+            take = take[fresh]
+            self.size -= take.size
+            cells += take.tolist()
         return cells
 
     def _take(self, linear: int) -> bool:
@@ -271,7 +257,7 @@ def cells_implied_by(robot, spec: GridSpec, linear: int, cause) -> np.ndarray:
 
 # Slices of at most this many cells are marked through a cached byte plan,
 # one gather and one scatter of the bytes they touch; larger ones take one
-# strided byte view per bit phase. On a 2-core host a plan costs about 4 us
+# strided byte view per bit phase. On a 2-core host a plan costs about 6 us
 # plus 8 ns per byte touched and a view about 10 us plus 4 ns per byte, so
 # the plan is faster up to about 1,500 cells in one bit phase, 4,000 in two
 # and 10,000 in eight.
@@ -377,13 +363,10 @@ def propagate(bm: CSpaceBitmap, ss: SampleSet, robot, linear: int, cause) -> int
 def free_rows(ss: SampleSet, spec: GridSpec, lins: list) -> int:
     """Mark every cell of each ``FreeRow``'s row, the cells that agree with
     a cell of ``lins`` on every axis but the last, visited but not
-    obstacle; returns how many were not visited before. One row is marked
-    as a slice, several in one bulk removal."""
-    if len(lins) == 1:
-        return _mark(ss, None, spec, lins[0], 0, spec.ndim - 2)
+    obstacle; returns how many were not visited before. A row reported
+    more than once is marked once."""
     stride = spec.strides[-2]
-    rows = np.asarray(lins, dtype=np.int64) % stride
-    return ss.remove_bulk(rows[:, None] + stride * np.arange(spec.dims[-1])).size
+    return sum(_mark(ss, None, spec, row, 0, spec.ndim - 2) for row in {lin % stride for lin in lins})
 
 
 # Cells each worker checks per round trip. A round trip costs the master
@@ -408,17 +391,50 @@ def _serve(conn, robot, obstacles, spec: GridSpec):
             conn.send(exc)
 
 
+def _lead(pipes, robot, obstacles, spec: GridSpec):
+    """The first check worker: fork the others, serve the first pipe, and
+    reap them before it ends, so that their CPU time counts as its
+    children's and so as the pool's. Each worker keeps only its own end of
+    its own pipe, so that closing the pool's end ends it."""
+    for here, _ in pipes:
+        here.close()
+    pids = []
+    try:
+        for _, there in pipes[1:]:
+            pid = os.fork()
+            if not pid:  # another worker, which ends here
+                code = 1
+                try:
+                    for _, other in pipes:
+                        if other is not there:
+                            other.close()
+                    _serve(there, robot, obstacles, spec)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            there.close()
+        _serve(pipes[0][1], robot, obstacles, spec)
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 class CheckPool:
     """Collision-checks cells for one proof, with one worker or many.
 
     One worker checks in this process, a cell at a time, through the
     proof's ``robot.cell_kernel``, and forks nothing. More workers are
-    processes with a pipe each. They get the robot, obstacles and grid once,
-    when they are forked, and then only buffers of linear cell indices,
-    and answer with the causes of the cells that are not free. The
-    cells that agree on every axis but the last go to one worker, so the
-    workers' kernel memos are disjoint. ``close`` drops the kernel, so its
-    memo ends with the proof, and ends and reaps the workers.
+    processes with a pipe each. This process forks one, which forks the
+    others (``_lead``): a fork of a large process costs its caller a
+    millisecond or more, which the calling thread would otherwise pay once
+    a worker. The workers get the robot, obstacles and grid once, when
+    they are forked, and then only buffers of linear cell indices, and
+    answer with the causes of the cells that are not free. The cells that
+    agree on every axis but the last go to one worker, so the workers'
+    kernel memos are disjoint. ``close`` drops the kernel, so its memo
+    ends with the proof, and ends the workers by closing their pipes and
+    reaps them.
     """
 
     def __init__(self, workers: int, robot, obstacles, spec: GridSpec):
@@ -436,17 +452,18 @@ class CheckPool:
         # Fork: the workers start without re-importing numpy or pickling
         # the robot, and the prover starts no thread a fork could copy.
         ctx = multiprocessing.get_context("fork")
+        pipes = [ctx.Pipe() for _ in range(workers)]
+        self._conns = [here for here, _ in pipes]
         try:
-            for _ in range(workers):
-                here, there = ctx.Pipe()
-                proc = ctx.Process(target=_serve, args=(there, robot, obstacles, spec), daemon=True)
-                proc.start()
-                there.close()
-                self._conns.append(here)
-                self._procs.append(proc)
+            lead = ctx.Process(target=_lead, args=(pipes, robot, obstacles, spec), daemon=True)
+            lead.start()
+            self._procs.append(lead)
         except BaseException:
             self.close()
             raise
+        finally:
+            for _, there in pipes:
+                there.close()
 
     def check(self, lins) -> list:
         """Collision cause of each cell, in the order given (None = free,
@@ -476,60 +493,37 @@ class CheckPool:
 
     def close(self):
         self._kernel = None
-        for proc in self._procs:
-            proc.terminate()
+        for conn in self._conns:  # a worker ends when its pipe is closed
+            conn.close()
         for proc in self._procs:
             proc.join()
-        for conn in self._conns:
-            conn.close()
 
 
 def moore_picks(spec: GridSpec, hits: list, rng: np.random.Generator, k: int) -> list:
-    """Up to ``k`` random Moore neighbors of each hit, hit by hit: of a
-    hit's ``n`` neighbors (``neighbors``), those at the ``min(k, n)``
-    positions ``rng.choice(n, ..., replace=False)`` draws.
-
-    One hit takes ``neighbors``' list. Several are decoded at once from the
-    same draws, without listing a neighborhood: ``neighbors`` lists the
-    product of each axis's options, the last axis fastest, but the all-zero
-    offset, so its entry p is the product's entry ``p + (p >= zero)``,
-    ``zero`` being the position of the all-zero offset. An axis has 3
-    options, or 2 on a wrapping axis of 2 cells or at the edge of a
-    non-wrapping one.
-    """
-    if len(hits) == 1:
-        moore = neighbors(spec, hits[0])
-        take = min(k, len(moore))
-        return [moore[p] for p in rng.choice(len(moore), size=take, replace=False).tolist()] if take else []
+    """Up to ``k`` random Moore neighbors of each hit, hit by hit, drawn
+    without replacement for all hits at once: each hit's neighbors with
+    the ``k`` smallest of one uniform key per neighbor. A neighbor is the
+    cell one step or none along each axis, the hit itself and cells off a
+    non-wrapping axis aside; on a wrapping axis of two cells both steps
+    reach one cell, counted once, as in ``neighbors``."""
     lins = np.asarray(hits, dtype=np.int64)
-    axes, rest = [], lins
-    count, zero = np.ones_like(lins), np.zeros_like(lins)
-    for d, wrap in zip(spec.dims, spec.wrap):
-        rest, m = np.divmod(rest, d)
-        if wrap:  # options (m - 1) % d, m and, past 2 cells, (m + 1) % d
-            c, z = np.full_like(m, min(d, 3)), np.ones_like(m)
-        else:  # options m - 1 and m + 1 where they lie on the axis, and m
-            z = (m > 0).astype(np.int64)
-            c = 2 + z - (m == d - 1)
-        axes.append((m, c, z))
-        count *= c
-        zero = zero * c + z
-    owner, drawn = [], []
-    for i, n in enumerate((count - 1).tolist()):
-        if take := min(k, n):
-            owner += [i] * take
-            drawn.append(rng.choice(n, size=take, replace=False))
-    if not drawn:
-        return []
-    owner = np.array(owner)
-    q = np.concatenate(drawn)
-    q += q >= zero[owner]
-    out = lins[owner]
-    for (m, c, z), d, wrap, stride in reversed(list(zip(axes, spec.dims, spec.wrap, spec.strides))):
-        q, digit = np.divmod(q, c[owner])
-        m = m[owner]
-        out += (((m + digit - 1) % d if wrap else m + digit - z[owner]) - m) * stride
-    return out.tolist()
+    cells = np.zeros((lins.size, 1), dtype=np.int64)
+    ok = np.ones((lins.size, 1), dtype=bool)
+    steps = np.array([-1, 0, 1])
+    for d, wrap, stride in zip(spec.dims, spec.wrap, spec.strides):
+        m = lins[:, None] // stride % d + steps
+        if wrap:
+            m %= d
+            on = np.broadcast_to(steps < 1 if d == 2 else True, m.shape)
+        else:
+            on = (m >= 0) & (m < d)
+        cells = (cells[:, :, None] + (m * stride)[:, None, :]).reshape(lins.size, -1)
+        ok = (ok[:, :, None] & on[:, None, :]).reshape(lins.size, -1)
+    ok[:, ok.shape[1] // 2] = False  # every step none: the hit itself
+    keys = rng.random(cells.shape)
+    keys[~ok] = np.inf
+    pick = np.argsort(keys, axis=1)[:, :k]
+    return np.take_along_axis(cells, pick, 1)[np.take_along_axis(ok, pick, 1)].tolist()
 
 
 def sample_obstacle_cells(
@@ -558,7 +552,9 @@ def sample_obstacle_cells(
     way: a hit inside an earlier hit's slice propagates no new cell. So a
     pooled iteration may end past the quota. Its free rows are marked after
     its hits, all at once: they hold free cells and the hits' slices
-    obstacle cells, so the order marks the same cells. The iteration ends
+    obstacle cells, so the order marks the same cells. A one-cell batch's
+    hit draws its neighbors with ``rng.choice``; a pooled batch draws all
+    its hits' neighbors at once (``moore_picks``). The iteration ends
     short of the quota when every cell has been visited.
     """
     spec = bm.spec
@@ -588,7 +584,13 @@ def sample_obstacle_cells(
         if not fresh:  # most one-cell batches miss: skip the probe set-up
             continue
         stats.hits += len(fresh)
-        probes = (lin for lin in moore_picks(spec, fresh, rng, params.neighbor_checks) if ss.remove(lin))
+        if batch == 1:  # one hit, whose picks rng.choice draws
+            moore = neighbors(spec, fresh[0])
+            take = min(params.neighbor_checks, len(moore))
+            probes = [moore[int(p)] for p in rng.choice(len(moore), size=take, replace=False)] if take else []
+        else:
+            probes = moore_picks(spec, fresh, rng, params.neighbor_checks)
+        probes = (lin for lin in probes if ss.remove(lin))
         while lins := list(itertools.islice(probes, batch)):
             check(lins)
     return stats

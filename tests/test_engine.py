@@ -427,6 +427,35 @@ class TestParallel:
 
         assert run() == run()
 
+    def test_pool_counts_every_workers_cpu(self, monkeypatch):
+        """The first worker forks the others and reaps them, so once the
+        pool is closed the CPU time of all four counts as this process's
+        children's."""
+        import resource
+        import time
+
+        def burning(robot, spec, obs):
+            def check(lin):
+                end = time.thread_time() + 0.05
+                while time.thread_time() < end:
+                    pass
+
+            return check
+
+        def children():
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+            return usage.ru_utime + usage.ru_stime
+
+        monkeypatch.setattr(SerialChain, "cell_kernel", burning)
+        sc = empty_scene()
+        before = children()
+        pool = CheckPool(4, sc.robot, sc.prepared(), sc.grid)
+        try:  # cells 0-3 go to the four workers, one each
+            assert pool.check([0, 1, 2, 3]) == [None] * 4
+        finally:
+            pool.close()
+        assert children() - before >= 4 * 0.05
+
     def test_two_workers_feasible_scene(self):
         verdict = prove_infeasibility(
             empty_scene(), SamplerParams(10, 3), seed=4, threads=2

@@ -419,18 +419,33 @@ def moore_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(moore_cases())
-def test_moore_picks_index_the_neighbor_lists(case):
-    """Each hit's picks are its ``neighbors`` at the positions drawn for it,
-    one hit or several at a time, and the generator ends in the same state."""
+def test_moore_picks_are_distinct_neighbors_hit_by_hit(case):
+    """Each hit in turn gets ``min(k, n)`` distinct cells of its ``n``
+    neighbors."""
     spec, hits, k, seed = case
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = []
+    picks = moore_picks(spec, hits, np.random.default_rng(seed), k)
     for lin in hits:
         moore = neighbors(spec, lin)
-        if take := min(k, len(moore)):
-            want += [moore[p] for p in ref_rng.choice(len(moore), size=take, replace=False)]
-    assert moore_picks(spec, hits, rng, k) == want
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+        mine, picks = picks[:min(k, len(moore))], picks[min(k, len(moore)):]
+        assert len(set(mine)) == len(mine) == min(k, len(moore))
+        assert set(mine) <= set(moore)
+    assert picks == []
+
+
+@pytest.mark.parametrize("dims, wrap, hit", [
+    ((3, 3), (False, False), 0),  # a corner: 3 neighbors
+    ((2, 5), (True, False), 2),  # a 2-cell wrapping axis and an edge: 3
+    ((4, 4, 4), (True, True, True), 21),  # 26 neighbors
+])
+def test_moore_picks_are_uniform(dims, wrap, hit):
+    """Over many draws each neighbor is picked about equally often."""
+    spec = GridSpec(dims, wrap, (0.0,) * len(dims), (1.0,) * len(dims))
+    moore = neighbors(spec, hit)
+    rng = np.random.default_rng(7)
+    picks = moore_picks(spec, [hit] * 4000, rng, 2)
+    counts = [picks.count(lin) for lin in moore]
+    assert sum(counts) == 8000
+    assert sstats.chisquare(counts).pvalue > 1e-4
 
 
 @settings(max_examples=100, deadline=None)
@@ -438,8 +453,8 @@ def test_moore_picks_index_the_neighbor_lists(case):
 def test_free_rows_mark_their_rows_visited_only(case):
     """Free rows' cells, those that share every axis but the last with one
     of the cells, end visited and keep their bitmap bits, through a byte
-    plan, strided views and one bulk removal alike; the count is of those
-    not visited before."""
+    plan and strided views alike, a row given twice too; the count is of
+    those not visited before."""
     spec, lins, seed = case
     rng = np.random.default_rng(seed)
     visited = np.flatnonzero(rng.random(spec.size) < rng.random())
@@ -456,7 +471,7 @@ def test_free_rows_mark_their_rows_visited_only(case):
             ss.remove_bulk(visited)
             bm.set_obstacle_bulk(obstacle)
             bits = bm.bits.tobytes()
-            assert free_rows(ss, spec, lins) == fresh.size
+            assert free_rows(ss, spec, lins + lins[-1:]) == fresh.size
         assert len(ss) == len(ref)
         assert ss._visited.tobytes() == ref._visited.tobytes()
         assert bm.bits.tobytes() == bits
