@@ -2,15 +2,16 @@
 
 Two robot kinds are supported: a rigid body moving in SE(2) and a planar
 serial chain of rectangular links joined by revolute joints. Collision
-checks return not just a boolean but the cause, ordered by how many bitmap
-cells the cause lets the sampler mark at once:
-
-    BaseInObstacle > ObstacleHit(smallest link) > SelfHit
-
-A rigid body's ``BaseInObstacle`` means that an obstacle lies within the
-disc about the reference point that the body holds at every heading (the
-reference point inside the obstacle included), so the body collides at
-every heading.
+checks return not just a boolean but the cause, and a robot's
+``fixed_axes`` the slice of the grid the cause implies: every cell that
+agrees with the sampled one on those axes collides too. A chain's
+``ObstacleHit`` of link k, its smallest colliding link, fixes joints 1..k,
+which alone pose links 1..k; its ``SelfHit`` of links a < b fixes joints
+a..b, as joints 1..a-1 move links a..b as one rigid body and later joints
+move neither. A rigid body's ``BaseInObstacle`` fixes its position, as the
+body collides at every heading (see ``RigidSE2``); its plain
+``ObstacleHit`` pins all three coordinates, so it implies nothing beyond
+the sampled cell.
 
 A chain's cell kernel may also return ``FreeRow``, which is not a
 collision: the cell is free, and so is every cell of its row along the last
@@ -267,6 +268,15 @@ class SerialChain:
     def cell_kernel(self, spec, obs: PreparedObstacles) -> "ChainCells":
         return ChainCells(self, spec, obs)
 
+    def fixed_axes(self, cause) -> tuple:
+        """First and last axis, 0-based, of the slice a cause implies: joints
+        1..k for link k's ``ObstacleHit``, joints a..b for a ``SelfHit``."""
+        if isinstance(cause, ObstacleHit):
+            return 0, cause.link - 1
+        if isinstance(cause, SelfHit):
+            return cause.link_a - 1, cause.link_b - 1
+        raise ValidationError(f"a chain reports no {cause!r}")
+
 
 # Entries each level of a ChainCells memo holds before it starts over by
 # itself. The 16^3 prefixes of a 16^4 grid fit; on a four-link chain an
@@ -482,6 +492,15 @@ class RigidSE2:
 
     def cell_kernel(self, spec, obs: PreparedObstacles) -> "BodyCells":
         return BodyCells(self, spec, obs)
+
+    def fixed_axes(self, cause) -> tuple:
+        """First and last axis, 0-based, of the slice a cause implies: the
+        position for a ``BaseInObstacle``, every axis for an ``ObstacleHit``."""
+        if isinstance(cause, BaseInObstacle):
+            return 0, 1
+        if isinstance(cause, ObstacleHit):
+            return 0, 2
+        raise ValidationError(f"a rigid body reports no {cause!r}")
 
 
 class BodyCells:

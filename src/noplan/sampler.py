@@ -30,7 +30,7 @@ import numpy as np
 
 from .bitmap import CSpaceBitmap, GridSpec, integer, neighbors
 from .errors import Exhausted, OutOfRange, ValidationError
-from .kinematics import BaseInObstacle, FreeRow, ObstacleHit, SelfHit
+from .kinematics import FreeRow
 
 
 # Rounds of the Feistel network behind the draw order; four rounds with
@@ -229,29 +229,13 @@ def _slice_indices(inner: int, outer: int, fixed: int, rows: int) -> np.ndarray:
     return out
 
 
-def _fixed_axes(robot, cause) -> tuple:
-    """First and last axis (0-based, inclusive) on which every cell a
-    collision cause implies agrees with the sampled cell.
-
-    A plain body/obstacle contact of a rigid body pins all three
-    coordinates, so it implies nothing beyond the sampled cell.
-    """
-    if isinstance(cause, ObstacleHit):
-        return (0, 2) if robot.kind == "rigid_se2" else (0, cause.link - 1)
-    if isinstance(cause, SelfHit):
-        return (cause.link_a - 1, cause.link_b - 1)
-    if isinstance(cause, BaseInObstacle):
-        return (0, 1)
-    raise ValidationError(f"unknown collision cause: {cause!r}")
-
-
 def cells_implied_by(robot, spec: GridSpec, linear: int, cause) -> np.ndarray:
     """Linear indices of every cell the collision cause proves colliding.
 
     Always includes the sampled cell itself. ``propagate`` marks the same
     cells without listing them.
     """
-    inner, outer, fixed = _slice(spec, linear, *_fixed_axes(robot, cause))
+    inner, outer, fixed = _slice(spec, linear, *robot.fixed_axes(cause))
     return _slice_indices(inner, outer, fixed, spec.size // outer)
 
 
@@ -357,7 +341,7 @@ def _mark(ss: SampleSet, bm, spec: GridSpec, linear: int, fix_lo: int, fix_hi: i
 def propagate(bm: CSpaceBitmap, ss: SampleSet, robot, linear: int, cause) -> int:
     """Mark every cell implied by a collision cause and not visited before
     as visited and obstacle; returns how many were (see ``_mark``)."""
-    return _mark(ss, bm, bm.spec, linear, *_fixed_axes(robot, cause))
+    return _mark(ss, bm, bm.spec, linear, *robot.fixed_axes(cause))
 
 
 def free_rows(ss: SampleSet, spec: GridSpec, lins: list) -> int:
@@ -375,11 +359,10 @@ def free_rows(ss: SampleSet, spec: GridSpec, lins: list) -> int:
 CELLS_PER_WORKER = 256
 
 
-def _serve(conn, robot, obstacles, spec: GridSpec):
+def _serve(conn, kernel):
     """A check worker: answer each buffer of int64 linear indices with the
     (position, cause) pairs of the cells that are not free, or with the
     exception checking them raised."""
-    kernel = robot.cell_kernel(spec, obstacles)
     while True:
         try:
             lins = np.frombuffer(conn.recv_bytes(), dtype=np.int64).tolist()
@@ -391,7 +374,7 @@ def _serve(conn, robot, obstacles, spec: GridSpec):
             conn.send(exc)
 
 
-def _lead(pipes, robot, obstacles, spec: GridSpec):
+def _lead(pipes, kernel):
     """The first check worker: fork the others, serve the first pipe, and
     reap them before it ends, so that their CPU time counts as its
     children's and so as the pool's. Each worker keeps only its own end of
@@ -408,13 +391,13 @@ def _lead(pipes, robot, obstacles, spec: GridSpec):
                     for _, other in pipes:
                         if other is not there:
                             other.close()
-                    _serve(there, robot, obstacles, spec)
+                    _serve(there, kernel)
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
             there.close()
-        _serve(pipes[0][1], robot, obstacles, spec)
+        _serve(pipes[0][1], kernel)
     finally:
         for pid in pids:
             os.waitpid(pid, 0)
@@ -423,39 +406,36 @@ def _lead(pipes, robot, obstacles, spec: GridSpec):
 class CheckPool:
     """Collision-checks cells for one proof, with one worker or many.
 
-    One worker checks in this process, a cell at a time, through the
-    proof's ``robot.cell_kernel``, and forks nothing. More workers are
-    processes with a pipe each. This process forks one, which forks the
-    others (``_lead``): a fork of a large process costs its caller a
-    millisecond or more, which the calling thread would otherwise pay once
-    a worker. The workers get the robot, obstacles and grid once, when
-    they are forked, and then only buffers of linear cell indices, and
-    answer with the causes of the cells that are not free. The cells that
-    agree on every axis but the last go to one worker, so the workers'
-    kernel memos are disjoint. ``close`` drops the kernel, so its memo
-    ends with the proof, and ends the workers by closing their pipes and
-    reaps them.
+    This process builds the proof's one kernel (``robot.cell_kernel``) at
+    every worker count. One worker checks in this process, a cell at a
+    time, and forks nothing. More workers are processes with a pipe each,
+    which get the kernel when they are forked and then only buffers of
+    linear cell indices, and answer with the causes of the cells that are
+    not free. This process forks one, which forks the others (``_lead``):
+    a fork of a large process costs its caller a millisecond or more a
+    worker. The cells that agree on every axis but the last go to one
+    worker, so the workers' kernel memos are disjoint. ``close`` drops the
+    kernel, so its memo ends with the proof, and ends the workers by
+    closing their pipes and reaps them.
     """
 
     def __init__(self, workers: int, robot, obstacles, spec: GridSpec):
-        self.workers = workers
-        self._kernel = None
+        self._kernel = robot.cell_kernel(spec, obstacles)
         self._conns = []
         self._procs = []
         if workers == 1:
             self.batch_size = 1
-            self._kernel = robot.cell_kernel(spec, obstacles)
             return
         self.batch_size = CELLS_PER_WORKER * workers
         # On one axis no memo is shared, so the cells themselves spread.
         self._prefix = spec.strides[-2] if spec.ndim > 1 else spec.size
         # Fork: the workers start without re-importing numpy or pickling
-        # the robot, and the prover starts no thread a fork could copy.
+        # the kernel, and the prover starts no thread a fork could copy.
         ctx = multiprocessing.get_context("fork")
         pipes = [ctx.Pipe() for _ in range(workers)]
         self._conns = [here for here, _ in pipes]
         try:
-            lead = ctx.Process(target=_lead, args=(pipes, robot, obstacles, spec), daemon=True)
+            lead = ctx.Process(target=_lead, args=(pipes, self._kernel), daemon=True)
             lead.start()
             self._procs.append(lead)
         except BaseException:
@@ -468,10 +448,10 @@ class CheckPool:
     def check(self, lins) -> list:
         """Collision cause of each cell, in the order given (None = free,
         ``FreeRow`` = free with its row)."""
-        if self._kernel is not None:
+        if not self._conns:
             return [self._kernel(lin) for lin in lins]
         lins = np.asarray(lins, dtype=np.int64)
-        owner = lins % self._prefix % self.workers
+        owner = lins % self._prefix % len(self._conns)
         sent = []
         for w, conn in enumerate(self._conns):
             idx = np.flatnonzero(owner == w)

@@ -17,7 +17,7 @@ from noplan.engine import (
     Verdict,
     prove_infeasibility,
 )
-from noplan.errors import EngineTimeout, TooLarge, ValidationError
+from noplan.errors import EngineTimeout, InvalidConfiguration, TooLarge, ValidationError
 from noplan.oracle import brute_force_bitmap
 from noplan.sampler import CheckPool, IterationStats, SampleSet, SamplerParams
 from noplan.scenario_io import Scenario, chain_grid, load_scenario
@@ -550,12 +550,33 @@ class TestParallel:
         assert verdict.kind == FEASIBLE_AT_RESOLUTION
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_grid_past_the_joint_limits_fails_in_the_caller(self, threads, capfd):
+        """The kernel is built in this process at every worker count, so a
+        grid the chain refuses raises here, before any worker starts. The
+        start and goal cells lie within the limits; the grid's corners do
+        not."""
+        chain = SerialChain((0, 0), [(0.5, 0.02)] * 2, [(-1.0, 1.0)] * 2)
+        sc = Scenario(
+            robot=chain,
+            obstacles=[],
+            start=(0.1, 0.1),
+            goal=(0.6, -0.6),
+            grid=GridSpec((8, 8), (False, False), (-2.0, -2.0), (2.0, 2.0)),
+        )
+        with pytest.raises(InvalidConfiguration, match="outside limits"):
+            prove_infeasibility(sc, seed=0, threads=threads)
+        assert capfd.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+
 
 class TestKernelMemo:
-    def test_no_memo_outlives_its_proof(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_memo_outlives_its_proof(self, monkeypatch, threads):
         """Reference counting alone frees each proof's kernel: the memo
         holds no reference cycle, and a proof that raised drops it even
-        while its traceback is kept."""
+        while its traceback is kept. A pooled proof builds its one kernel
+        in this process too, and closing the pool frees it."""
         kernels = []
         build = SerialChain.cell_kernel
 
@@ -568,9 +589,9 @@ class TestKernelMemo:
         sc = four_link_scene(8, block_angles=(90,))
         gc.disable()
         try:
-            assert prove_infeasibility(sc, seed=0).kind == FEASIBLE_AT_RESOLUTION
+            assert prove_infeasibility(sc, seed=0, threads=threads).kind == FEASIBLE_AT_RESOLUTION
             with pytest.raises(EngineTimeout) as raised:
-                prove_infeasibility(sc, SamplerParams(1, 0), seed=0, timeout=0.0)
+                prove_infeasibility(sc, SamplerParams(1, 0), seed=0, threads=threads, timeout=0.0)
             assert raised.tb is not None
             assert len(kernels) == 2
             assert [ref() for ref in kernels] == [None, None]

@@ -699,6 +699,20 @@ def chains_at_their_reach(draw):
     return chain, spec, obs, int(rng.integers(2**32)), lin, clear, label
 
 
+class TestFixedAxes:
+    @pytest.mark.parametrize(
+        "robot, cause",
+        [
+            (unit_chain(3), BaseInObstacle(0)),
+            (RigidSE2(square(0.0, 0.0, 0.5), Point2(0.0, 0.0)), SelfHit(1, 3)),
+        ],
+        ids=["chain-base", "rigid-self"],
+    )
+    def test_a_cause_the_robot_cannot_report_is_refused(self, robot, cause):
+        with pytest.raises(ValidationError, match="reports no"):
+            robot.fixed_axes(cause)
+
+
 class TestCellKernel:
     """The cell kernels return ``collision_check``'s cause at each cell
     centre, whatever order the cells come in."""
