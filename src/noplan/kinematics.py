@@ -15,7 +15,11 @@ the sampled cell.
 
 A chain's cell kernel may also return ``FreeRow``, which is not a
 collision: the cell is free, and so is every cell of its row along the last
-axis, since the last link reaches nothing at any angle.
+axis, since the last link reaches nothing at any angle. Each obstacle, and
+each of links 1..n-2, is apart from it when its box misses the square the
+last link's reach spans about joint n-1, or when each of its triangles has
+an edge that puts the reach disc wholly on its far side (see
+``ChainCells``).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import InvalidConfiguration, ValidationError
 from .geometry import (
     Point2,
     Polygon2,
+    _project_raw,
     point_in_polygon,
     raw_tri_intersects,
     triangulate,
@@ -146,6 +151,48 @@ def _link_body(jx, jy, angle, link):
     raws = ((x0, y0, x1, y1, x2, y2), (x0, y0, x2, y2, x3, y3))
     box = (min(x0, x1, x2, x3), min(y0, y1, y2, y3), max(x0, x1, x2, x3), max(y0, y1, y2, y3))
     return (raws, box), ex, ey
+
+
+def _edge_bounds(raw) -> tuple:
+    """Each edge of a raw triangle as ``raw_tri_intersects`` tries it: its
+    normal (nx, ny), ``hypot(nx, ny)``, ``DISC_MARGIN * (|nx| + |ny|)`` and
+    the triangle's own projection [lo, hi] on the normal."""
+    ax0, ay0, ax1, ay1, ax2, ay2 = raw
+    out = []
+    for ex, ey, fx, fy in ((ax0, ay0, ax1, ay1), (ax1, ay1, ax2, ay2), (ax2, ay2, ax0, ay0)):
+        nx, ny = ey - fy, fx - ex
+        lo, hi = _project_raw(raw, nx, ny)
+        out.append((nx, ny, math.hypot(nx, ny), DISC_MARGIN * (abs(nx) + abs(ny)), lo, hi))
+    return tuple(out)
+
+
+def _disc_apart(jx, jy, r, big, tris) -> bool:
+    """Whether each triangle, as its ``_edge_bounds``, has an edge that puts
+    the disc of radius r about (jx, jy) wholly on its far side, by a margin
+    of ``big`` times the edge's ``DISC_MARGIN * (|nx| + |ny|)``."""
+    for edges in tris:
+        for nx, ny, h, m, lo, hi in edges:
+            p = jx * nx + jy * ny
+            d = r * h + big * m
+            if p - d > hi or p + d < lo:
+                break
+        else:
+            return False
+    return True
+
+
+def _tri_apart(jx, jy, r, big, raw) -> bool:
+    """``_disc_apart`` of one raw triangle, its edges computed one at a time
+    until one is apart: for a link's triangles, which change with its pose."""
+    ax0, ay0, ax1, ay1, ax2, ay2 = raw
+    for ex, ey, fx, fy in ((ax0, ay0, ax1, ay1), (ax1, ay1, ax2, ay2), (ax2, ay2, ax0, ay0)):
+        nx, ny = ey - fy, fx - ex
+        lo, hi = _project_raw(raw, nx, ny)
+        p = jx * nx + jy * ny
+        d = r * math.hypot(nx, ny) + big * (DISC_MARGIN * (abs(nx) + abs(ny)))
+        if p - d > hi or p + d < lo:
+            return True
+    return False
 
 
 def _bodies_touch(a, b) -> bool:
@@ -306,18 +353,44 @@ class ChainCells:
     the last axis clear: the last link reaches nothing at any angle. Its
     corners sit at ``j + L*c +- (w/2)*s`` about joint n-1, and since
     ``|c|`` and ``|s|`` are at most 1 and rounding is monotone, each lies
-    within ``reach = L + w/2`` of the joint but for two additions'
-    rounding. ``r`` adds DISC_MARGIN of ``max(|jx|, |jy|, reach)``, as in
-    ``BodyCells``, so the square ``[jx - r, jx + r] x [jy - r, jy + r]``
-    holds the last link's box. When it misses every obstacle's box and the
-    boxes of links 1..n-2, the last link's self tests, the row is clear:
-    ``_raws_hit_obstacle`` and ``_bodies_touch`` report a contact only where
-    boxes overlap. The memo keeps ``FREE_ROW`` as such a prefix's entry,
-    in place of its pose. The first cell of the row to come is free, without
-    its last link's pose; every later one returns ``FREE_ROW``, so that the
-    sampler marks the row visited only when the row is drawn again. A
-    pooled batch may report a row more than once, and marking it again
-    marks no new cell.
+    within ``reach = L + w/2`` of the joint along each axis but for two
+    additions' rounding. ``r`` adds DISC_MARGIN of ``max(|jx|, |jy|,
+    reach)``, as in ``BodyCells``, so the square ``[jx - r, jx + r] x
+    [jy - r, jy + r]`` holds the last link's box. ``_raws_hit_obstacle``
+    and ``_bodies_touch`` report a contact only where boxes overlap, so a
+    body whose box the square misses, an obstacle or one of links 1..n-2
+    (the last link's self tests), never meets the last link.
+
+    A body whose box the square meets is tested triangle by triangle.
+    ``raw_tri_intersects`` tries each edge normal (nx, ny) of both of its
+    triangles, in either argument order, and they are apart in floats if
+    one of them parts their projections. A triangle T of the body is apart
+    from the last link when one of T's own edges, with T's projection
+    [lo, hi] on its normal as ``_project_raw`` computes it, puts the disc
+    of radius r about the joint wholly on its far side: ``p - d > hi`` or
+    ``p + d < lo``, where ``p = jx*nx + jy*ny`` and ``d = r*hypot(nx, ny)
+    + max(|jx|, |jy|, reach) * DISC_MARGIN * (|nx| + |ny|)``. Each vertex
+    of the last link sits within ``sqrt(L^2 + w^2/4) <= reach`` of the
+    joint but for rounding, as ``c^2 + s^2`` is 1 within rounding; so its
+    exact projection lies within ``reach * hypot(nx, ny)`` of the joint's.
+    The computed projections of the joint and the vertex, ``hypot`` and
+    the sums in ``d`` each round by a few units of 2^-53 of ``max(|jx|,
+    |jy|, reach) * (|nx| + |ny|)``, which the margin covers many times
+    over (as long as no product leaves the normal range of floats). So
+    every vertex's computed projection lies beyond T's, that edge
+    separates T from each of the last link's triangles at every angle of
+    the row, and the check finds no contact. A degenerate edge, n = 0, projects everything to 0
+    and is never apart. The normals and projections of the obstacles'
+    triangles are fixed and computed with the kernel; those of links
+    1..n-2 are computed only for a body whose box the square meets.
+
+    When every body is apart from the last link, the row is clear. The
+    memo keeps ``FREE_ROW`` as such a prefix's entry, in place of its
+    pose. The first cell of the row to come is free, without its last
+    link's pose; every later one returns ``FREE_ROW``, so that the sampler
+    marks the row visited only when the row is drawn again. A pooled
+    worker reports a row once per buffer (``_serve``), and marking a row
+    again marks no new cell.
     """
 
     def __init__(self, chain: SerialChain, spec, obs: PreparedObstacles):
@@ -331,6 +404,7 @@ class ChainCells:
         self.root = (0.0, chain.base.x, chain.base.y, (), None)
         self.memo = [{} for _ in range(chain.dof - 1)]
         self.reach = chain.links[-1].length + chain.links[-1].width / 2
+        self.obs_edges = [tuple(map(_edge_bounds, raws)) for raws in obs.tri_raws]
 
     def __call__(self, lin: int) -> object:
         n = len(self.links)
@@ -378,17 +452,21 @@ class ChainCells:
         return angle, ex, ey, bodies, hit
 
     def _clear(self, jx: float, jy: float, bodies) -> bool:
-        """Whether the last link, hinged at (jx, jy), meets no obstacle's
-        box and none of the bodies' boxes at any angle."""
+        """Whether the last link, hinged at (jx, jy), meets no obstacle and
+        none of the bodies at any angle: each one's box misses the reach
+        square, or its triangles are apart from the reach disc."""
         reach = self.reach
-        r = reach + DISC_MARGIN * max(abs(jx), abs(jy), reach)
+        big = max(abs(jx), abs(jy), reach)
+        r = reach + DISC_MARGIN * big
         x0, y0, x1, y1 = jx - r, jy - r, jx + r, jy + r
-        for ox0, oy0, ox1, oy1 in self.obs.bboxes:
-            if x0 <= ox1 and ox0 <= x1 and y0 <= oy1 and oy0 <= y1:
+        for (ox0, oy0, ox1, oy1), tris in zip(self.obs.bboxes, self.obs_edges):
+            if x0 <= ox1 and ox0 <= x1 and y0 <= oy1 and oy0 <= y1 and not _disc_apart(jx, jy, r, big, tris):
                 return False
-        for _, (bx0, by0, bx1, by1) in bodies:
+        for raws, (bx0, by0, bx1, by1) in bodies:
             if x0 <= bx1 and bx0 <= x1 and y0 <= by1 and by0 <= y1:
-                return False
+                for raw in raws:
+                    if not _tri_apart(jx, jy, r, big, raw):
+                        return False
         return True
 
 
@@ -397,7 +475,8 @@ class ChainCells:
 # few units of 2^-52 of that coordinate; an obstacle the rule admits
 # reaches about 2^10 such units into the body at every heading, so each
 # heading's check finds the contact. The reach rules of ``ChainCells`` and
-# ``BodyCells`` widen their squares by the same margin.
+# ``BodyCells`` widen their squares by the same margin, and ``ChainCells``
+# its disc's projections by it, per unit of the edge normal's |nx| + |ny|.
 DISC_MARGIN = 2.0**-42
 
 

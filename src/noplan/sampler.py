@@ -359,22 +359,35 @@ def free_rows(ss: SampleSet, spec: GridSpec, lins: list) -> int:
 CELLS_PER_WORKER = 256
 
 
-def _serve(conn, kernel):
+def _serve(conn, kernel, row: int):
     """A check worker: answer each buffer of int64 linear indices with the
     (position, cause) pairs of the cells that are not free, or with the
-    exception checking them raised."""
+    exception checking them raised. A row's ``FreeRow`` is sent once a
+    buffer, for its first cell that reports it; the row's other cells, free
+    too, send nothing. Two cells share a row when they agree modulo
+    ``row``."""
     while True:
         try:
             lins = np.frombuffer(conn.recv_bytes(), dtype=np.int64).tolist()
         except EOFError:  # the pool closed its end
             return
         try:
-            conn.send([(i, cause) for i, lin in enumerate(lins) if (cause := kernel(lin)) is not None])
+            reply, rows = [], set()
+            for i, lin in enumerate(lins):
+                cause = kernel(lin)
+                if type(cause) is FreeRow:
+                    if lin % row in rows:  # reported already
+                        continue
+                    rows.add(lin % row)
+                elif cause is None:
+                    continue
+                reply.append((i, cause))
+            conn.send(reply)
         except Exception as exc:  # the pool re-raises it
             conn.send(exc)
 
 
-def _lead(pipes, kernel):
+def _lead(pipes, kernel, row: int):
     """The first check worker: fork the others, serve the first pipe, and
     reap them before it ends, so that their CPU time counts as its
     children's and so as the pool's. Each worker keeps only its own end of
@@ -391,13 +404,13 @@ def _lead(pipes, kernel):
                     for _, other in pipes:
                         if other is not there:
                             other.close()
-                    _serve(there, kernel)
+                    _serve(there, kernel, row)
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
             there.close()
-        _serve(pipes[0][1], kernel)
+        _serve(pipes[0][1], kernel, row)
     finally:
         for pid in pids:
             os.waitpid(pid, 0)
@@ -435,7 +448,7 @@ class CheckPool:
         pipes = [ctx.Pipe() for _ in range(workers)]
         self._conns = [here for here, _ in pipes]
         try:
-            lead = ctx.Process(target=_lead, args=(pipes, self._kernel), daemon=True)
+            lead = ctx.Process(target=_lead, args=(pipes, self._kernel, self._prefix), daemon=True)
             lead.start()
             self._procs.append(lead)
         except BaseException:

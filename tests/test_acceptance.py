@@ -248,10 +248,11 @@ def _costed_run(sc, seed: int, threads: int) -> CostedRun:
 @pytest.fixture(scope="module")
 def kernel_bound_trials():
     """Serial and 4-worker proofs, back to back per seed, of a scene whose
-    serial time is largely collision checks (about 49%, 53% before free
-    rows, seeds 0-29): with one block the four-link arm's start and goal
-    stay connected, so every one of the 12^4 cells is checked, implied or
-    in a free row."""
+    serial time is much of it collision checks (about 41%; 46% while only
+    the reach square cleared free rows, 53% before free rows; seeds 0-29,
+    the kernel replayed on each proof's checked cells): with one block the
+    four-link arm's start and goal stay connected, so every one of the
+    12^4 cells is checked, implied or in a free row."""
     sc = four_link_scene(12, block_angles=(90,))
     return [(_costed_run(sc, seed, 1), _costed_run(sc, seed, 4)) for seed in range(30)]
 

@@ -142,13 +142,14 @@ class TestCellConfigMapping:
             link_body = kinematics._link_body
             monkeypatch.setattr(kinematics, "_link_body", lambda x, y, angle, link:
                                 seen.append(angle) or link_body(x, y, angle, link))
-            # Within reach of every cell, so that the kernel checks each one's
-            # last link: an L whose box holds the arm but which lies beyond
-            # its reach, so that every link is posed and tested.
-            r, t = g.ndim + 1.0, 0.5
-            obs = PreparedObstacles([Polygon2([
-                (-r, -r), (r, -r), (r, r), (r - t, r), (r - t, t - r), (-r, t - r)
-            ])])
+            # So that the kernel poses and tests every link of each cell, and
+            # clears no row: a ring, cut open on one side, beyond the reach
+            # of links 1..n-1 and within the last link's reach from every
+            # place of joint n-1 (on the unit circle, for two links).
+            turn = np.linspace(0.05 - math.pi, math.pi - 0.05, 32)
+            ring = [(r * math.cos(a), r * math.sin(a))
+                    for r, arc in ((g.ndim + 0.5, turn), (g.ndim - 0.9, turn[::-1])) for a in arc]
+            obs = PreparedObstacles([Polygon2(ring)])
         for axis in range(g.ndim):
             for rest in ([0] * g.ndim, [n - 1 for n in g.dims]):
                 for m in range(g.dims[axis]):

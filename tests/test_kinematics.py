@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from noplan import kinematics
@@ -624,22 +624,82 @@ def misses(box, square) -> bool:
     return box[2] < square[0] or square[2] < box[0] or box[3] < square[1] or square[3] < box[1]
 
 
-@st.composite
-def chains_at_their_reach(draw):
+def joint_and_bodies(chain, q):
+    """Joint n-1 of the chain at q and the (raws, box) bodies of links
+    1..n-2, those the last link is tested against, with
+    ``collision_check``'s floats."""
+    angle, jx, jy, bodies = 0.0, chain.base.x, chain.base.y, []
+    for k in range(chain.dof - 1):
+        angle += q[k]
+        body, jx, jy = kinematics._link_body(jx, jy, angle, chain.links[k])
+        bodies.append(body)
+    return jx, jy, bodies[:-1]  # link n-1 is adjacent to the last
+
+
+def tri_edges(raw) -> list:
+    """Each edge normal (nx, ny) of a raw triangle, as ``raw_tri_intersects``
+    computes it, with the triangle's projection [lo, hi] on it."""
+    out = []
+    for i in (0, 2, 4):
+        ex, ey, fx, fy = raw[i], raw[i + 1], raw[(i + 2) % 6], raw[(i + 3) % 6]
+        nx, ny = ey - fy, fx - ex
+        proj = sorted(raw[k] * nx + raw[k + 1] * ny for k in (0, 2, 4))
+        out.append((nx, ny, proj[0], proj[-1]))
+    return out
+
+
+class ReachRule:
+    """The free-row rule of ``ChainCells`` about one joint n-1, written
+    out: the reach square, and the reach disc's projection on an edge
+    normal, widened by the margin."""
+
+    def __init__(self, jx, jy, last: Link):
+        self.jx, self.jy = jx, jy
+        reach = last.length + last.width / 2
+        self.big = max(abs(jx), abs(jy), reach)
+        self.r = reach + DISC_MARGIN * self.big
+        self.square = (jx - self.r, jy - self.r, jx + self.r, jy + self.r)
+
+    def disc(self, nx, ny) -> tuple:
+        p = self.jx * nx + self.jy * ny
+        d = self.r * math.hypot(nx, ny) + self.big * (DISC_MARGIN * (abs(nx) + abs(ny)))
+        return p - d, p + d
+
+    def apart(self, raw) -> bool:
+        """Whether one of the triangle's own edges puts the disc wholly on
+        its far side."""
+        for nx, ny, lo, hi in tri_edges(raw):
+            d0, d1 = self.disc(nx, ny)
+            if d0 > hi or d1 < lo:
+                return True
+        return False
+
+    def blocks(self, raws, box) -> bool:
+        """Whether a body keeps the row from being clear."""
+        return not misses(box, self.square) and not all(map(self.apart, raws))
+
+
+# Where the boundary lies in each case of ``chain_at_its_reach``: on the
+# edge of the reach square for the box of an obstacle or of one of links
+# 1..n-2, on the reach disc for an edge of a triangle of either.
+REACH_CASES = ("obstacle box", "link box", "obstacle edge", "link edge")
+
+
+def chain_at_its_reach(case: str, ulps: int, seed: int):
     """A chain of 2-4 links based near the origin, 1e3 or 1e6, on a grid of
-    2-5 cells per axis, and one box whose near edge lies on the edge of the
-    reach square about a random cell's joint n-1, or 1-4 ulps either side:
-    an obstacle's box, or the box of one of links 1..n-2, the last link's
-    length tuned to put the square's edge there. Also returns the cell and
-    whether its row must be clear: the box lies outside the square, every
-    other box the last link is tested against misses it, and links 1..n-1
-    find no cause."""
-    n = draw(st.integers(2, 4))
-    near_link = n > 2 and draw(st.booleans())
-    ulps = draw(st.integers(-4, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    2-5 cells per axis, a random cell, and one body on the boundary of the
+    free-row rule about the cell's joint n-1, or 1-4 ulps either side,
+    outside when ``ulps`` > 0: the box of an obstacle or of one of links
+    1..n-2 on the edge of the reach square, or a slanted edge of an
+    obstacle triangle or an edge of a triangle of links 1..n-2 at the reach
+    disc's distance along its normal. Bar the obstacle's box, the last
+    link's length is tuned to put the boundary there. Returns the chain,
+    grid, obstacles, cell, whether the cell's row must be clear, and a
+    label; None when the seed gives no such case."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3 if case.startswith("link") else 2, 5))
     base = (rng.choice([0.0, 1e3, 1e6]) * rng.uniform(-1, 1, 2)).tolist()
-    links = [(rng.uniform(0.2, 1.0), rng.uniform(0.02, 0.3)) for _ in range(n)]
+    links = [Link(rng.uniform(0.2, 1.0), rng.uniform(0.02, 0.3)) for _ in range(n)]
     limits = []
     for _ in range(n):
         lo = rng.uniform(-math.pi, math.pi)
@@ -647,56 +707,98 @@ def chains_at_their_reach(draw):
     spec = chain_grid(SerialChain(Point2(*base), links, limits), [int(rng.integers(2, 6)) for _ in range(n)])
     lin = int(rng.integers(spec.size))
     q = cell_to_config(spec, lin_to_multi(spec, lin))
-    # Joint n-1 and the boxes of links 1..n-2, with collision_check's floats.
-    angle, jx, jy, boxes = 0.0, *base, []
-    for k in range(n - 1):
-        angle += q[k]
-        (_, box), jx, jy = kinematics._link_body(jx, jy, angle, Link(*links[k]))
-        boxes.append(box)
-    boxes.pop()  # link n-1 is adjacent to the last
+    jx, jy, bodies = joint_and_bodies(SerialChain(Point2(*base), links, limits), q)
 
-    def square(length, width):
-        reach = length + width / 2
-        r = reach + DISC_MARGIN * max(abs(jx), abs(jy), reach)
-        return jx - r, jy - r, jx + r, jy + r
-
-    if near_link:
-        # The side of the link's box farthest from the joint, and a last
-        # link short enough to fall short of it.
-        target = boxes[int(rng.integers(len(boxes)))]
-        gap, side = max((target[0] - jx, 2), (jx - target[2], 0), (target[1] - jy, 3), (jy - target[3], 1))
-        assume(gap > 0.05)
-        width = rng.uniform(0.01, gap)
-        # The square's edge `ulps` floats short of the box's, outward.
-        sign = 1.0 if side >= 2 else -1.0
-        want = nudged(target[side - 2 if side >= 2 else side + 2], -int(sign) * ulps)
-        lo, hi = 0.0, 2.0 * gap + 1.0
+    def tuned(width, value, want):
+        """The last link of that width at which ``value``, which grows with
+        its length, equals ``want``; None if no length gives it."""
+        lo, hi = 0.0, 8.0
         while lo < (mid := (lo + hi) / 2) < hi:
-            if sign * (square(mid, width)[side] - want) < 0:
+            if value(ReachRule(jx, jy, Link(mid, width))) < want:
                 lo = mid
             else:
                 hi = mid
-        assume(square(hi, width)[side] == want)
-        links[-1] = (hi, width)
-        obs = PreparedObstacles([])
-    else:
+        return Link(hi, width) if value(ReachRule(jx, jy, Link(hi, width))) == want else None
+
+    obs = PreparedObstacles([])
+    if case == "obstacle box":
         axis, sign = int(rng.integers(2)), 1.0 if rng.integers(2) else -1.0
-        edge = square(*links[-1])[axis + (2 if sign > 0 else 0)]
+        edge = ReachRule(jx, jy, links[-1]).square[axis + (2 if sign > 0 else 0)]
         near = nudged(edge, int(sign) * ulps)
         spans = [sorted((near, near + sign * rng.uniform(0.1, 1.0)))]
         across = (jy, jx)[axis] - rng.uniform(0.0, 1.0)  # spans the joint
         spans.append((across, across + 1.0))
         (x0, x1), (y0, y1) = spans if axis == 0 else spans[::-1]
         obs = PreparedObstacles([Polygon2([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])])
-        target = obs.bboxes[0]
-    chain = SerialChain(Point2(*base), links, limits)
-    sq = square(*links[-1])
-    others = [b for b in boxes + obs.bboxes if b is not target]
+        last, target = links[-1], obs.bboxes[0]
+    elif case == "link box":
+        # The side of the link's box farthest from the joint, and the
+        # square's edge `ulps` floats short of it, outward.
+        target = bodies[int(rng.integers(len(bodies)))][1]
+        gap, side = max((target[0] - jx, 2), (jx - target[2], 0), (target[1] - jy, 3), (jy - target[3], 1))
+        if gap < 0.05:
+            return None
+        sign = 1 if side >= 2 else -1
+        want = nudged(target[side - 2 if side >= 2 else side + 2], -sign * ulps)
+        last = tuned(rng.uniform(0.01, gap), lambda rule: sign * rule.square[side], sign * want)
+    else:
+        def farthest(raw):
+            """The largest distance from the joint to the triangle along one
+            of its edge normals, with the triangle, edge and side."""
+            out = []
+            for i, (nx, ny, lo, hi) in enumerate(tri_edges(raw)):
+                h, p = math.hypot(nx, ny), jx * nx + jy * ny
+                out += [((lo - p) / h, raw, i, -1), ((p - hi) / h, raw, i, 1)]
+            return max(out)
+
+        # Of links 1..n-2, the first the disc stops being apart from as the
+        # reach grows, with the edge that parts them until then.
+        nearest = min((min(map(farthest, raws)) for raws, _ in bodies), default=(math.inf,))
+        if case == "obstacle edge":
+            # A triangle whose first edge lies across a line at distance
+            # `dist` from the joint, nearer than links 1..n-2 and slanted at
+            # least 0.25 rad off the axes, and whose third corner lies
+            # beyond it, away from link n-1.
+            if nearest[0] < 0.1:
+                return None
+            theta = sum(q[:-1]) + rng.uniform(-1.0, 1.0)
+            axis = round(theta / (math.pi / 2)) * math.pi / 2
+            theta = axis + math.copysign(max(0.25, abs(theta - axis)), theta - axis)
+            ux, uy = math.cos(theta), math.sin(theta)
+            dist = rng.uniform(0.05, 1.0) * min(1.5, nearest[0])
+            a, b, depth = rng.uniform(1.5, 3), rng.uniform(1.5, 3), rng.uniform(0.5, 2)
+            fx, fy = jx + dist * ux, jy + dist * uy
+            obs = PreparedObstacles([Polygon2([
+                (fx - a * uy, fy + a * ux), (fx + b * uy, fy - b * ux), (fx + depth * ux, fy + depth * uy)
+            ])])
+            (raw,), target = obs.tri_raws[0], obs.bboxes[0]
+            edge, side = 0, -1  # the disc below the triangle's projection
+        else:
+            dist, raw, edge, side = nearest
+            target = next(box for raws, box in bodies if raw in raws)
+            if dist < 0.05:
+                return None
+        nx, ny, lo, hi = tri_edges(raw)[edge]
+        width = rng.uniform(0.01, min(0.3, dist))
+        if side < 0:
+            last = tuned(width, lambda rule: rule.disc(nx, ny)[1], nudged(lo, -ulps))
+        else:
+            last = tuned(width, lambda rule: -rule.disc(nx, ny)[0], -nudged(hi, ulps))
+    if last is None:
+        return None
+    chain = SerialChain(Point2(*base), links[:-1] + [last], limits)
+    rule = ReachRule(jx, jy, last)
+    if case.endswith("box"):
+        assert misses(target, rule.square) == (ulps > 0)
+    else:
+        if misses(target, rule.square):  # the square alone clears it
+            return None
+        d0, d1 = rule.disc(nx, ny)
+        assert (d1 < lo if side < 0 else d0 > hi) == (ulps > 0)
+    blocked = any(rule.blocks(raws, box) for raws, box in bodies + list(zip(obs.tri_raws, obs.bboxes)))
     prefix_free = chain.truncated(n - 1).collision_check(q[:-1], obs).cause is None
-    clear = misses(target, sq) and all(misses(b, sq) for b in others) and prefix_free
-    assert misses(target, sq) == (ulps > 0)
-    label = f"{'link' if near_link else 'obstacle'} box, row {'clear' if clear else 'checked'}"
-    return chain, spec, obs, int(rng.integers(2**32)), lin, clear, label
+    clear = prefix_free and not blocked
+    return chain, spec, obs, lin, clear, f"{case}, row {'clear' if clear else 'checked'}"
 
 
 class TestFixedAxes:
@@ -722,14 +824,26 @@ class TestCellKernel:
     def test_chain_kernel_matches_reference(self, case):
         assert_kernel_matches(*case)
 
-    @settings(max_examples=80, deadline=None)
-    @given(chains_at_their_reach())
-    def test_chain_kernel_matches_reference_at_the_reach_square(self, case):
-        """A box on the edge of the last link's reach square, or a hair
-        either side, on chains near the origin and far from it: the kernel
-        matches the reference, and the cell's row comes back ``FreeRow``
-        from its second visit on, exactly when the rule says it is clear."""
-        chain, spec, obs, seed, lin, clear, label = case
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(REACH_CASES), st.integers(-4, 4), st.integers(0, 2**32 - 1))
+    # On the boundary each row is checked, an ulp outside it clear.
+    @example("obstacle box", 0, 7)
+    @example("obstacle box", 1, 7)
+    @example("link box", 0, 4)
+    @example("link box", 1, 4)
+    @example("obstacle edge", 0, 0)
+    @example("obstacle edge", 1, 0)
+    @example("link edge", 0, 0)
+    @example("link edge", 1, 0)
+    def test_chain_kernel_matches_reference_at_the_reach_disc(self, case, ulps, seed):
+        """A box on the edge of the last link's reach square, or a triangle
+        edge at the reach disc's distance, or a hair either side, on chains
+        near the origin and far from it: the kernel matches the reference,
+        and the cell's row comes back ``FreeRow`` from its second visit on,
+        exactly when the rule says it is clear."""
+        built = chain_at_its_reach(case, ulps, seed)
+        assume(built is not None)
+        chain, spec, obs, lin, clear, label = built
         event(label)
         assert_kernel_matches(chain, spec, obs, seed)
         kernel = chain.cell_kernel(spec, obs)
@@ -737,6 +851,46 @@ class TestCellKernel:
         assert [type(c) is FreeRow for c in visits] == [False, clear, clear]
         if clear:
             assert visits[0] is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chain_kernel_matches_reference_near_the_reach_disc(self, seed):
+        """Chains of 3-4 links, with triangles strewn about the last link's
+        reach from a few cells' joint n-1: the kernel gives the reference
+        cause on every cell, and some rows are clear although the reach
+        square meets a box, by the triangles' own edges."""
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 2
+        chain = SerialChain(
+            Point2(*rng.uniform(-1.0, 1.0, 2)),
+            [(rng.uniform(0.6, 1.0), rng.uniform(0.02, 0.2)) for _ in range(n - 1)] + [(0.4, 0.05)],
+            [(lo, lo + rng.uniform(1.0, 2 * math.pi)) for lo in rng.uniform(-math.pi, math.pi, n)],
+        )
+        spec = chain_grid(chain, [8, 8, 4] if n == 3 else [5, 5, 5, 4])
+        reach = chain.links[-1].length + chain.links[-1].width / 2
+        triangles = []
+        for lin in rng.integers(spec.size, size=8).tolist():
+            # Off the corner of the reach square ahead of link n-1, where
+            # its box meets the square.
+            q = cell_to_config(spec, lin_to_multi(spec, lin))
+            jx, jy, _ = joint_and_bodies(chain, q)
+            angle = (round(sum(q[:-1]) / (math.pi / 2) - 0.5) + 0.5) * math.pi / 2 + rng.uniform(-0.3, 0.3)
+            away = reach + rng.uniform(0.02, 0.15)
+            centre = (jx + away * math.cos(angle), jy + away * math.sin(angle))
+            (ax, ay), (bx, by), (cx, cy) = corners = (centre + rng.uniform(-0.08, 0.08, (3, 2))).tolist()
+            ccw = (bx - ax) * (cy - ay) > (by - ay) * (cx - ax)
+            triangles.append(Polygon2(corners if ccw else corners[::-1]))
+        obs = PreparedObstacles(triangles)
+        assert_kernel_matches(chain, spec, obs, seed)
+        kernel = chain.cell_kernel(spec, obs)
+        stride = spec.strides[-2]
+        by_edges = 0
+        for row in range(stride):
+            kernel(row)
+            if type(kernel(row + stride)) is FreeRow:
+                jx, jy, bodies = joint_and_bodies(chain, cell_to_config(spec, lin_to_multi(spec, row)))
+                square = ReachRule(jx, jy, chain.links[-1]).square
+                by_edges += not all(misses(box, square) for box in [box for _, box in bodies] + obs.bboxes)
+        assert by_edges > 0
 
     @pytest.mark.parametrize("side", ["above", "below", "left", "right"])
     def test_flush_self_contact_on_a_grid(self, side):
